@@ -59,7 +59,6 @@ from .grid import (
 )
 from .potential import (
     SIGMA,
-    PotentialConstants,
     double_well,
     double_well_prime,
     optimal_profile,

@@ -324,6 +324,30 @@ def _bilinear_periodic(values: np.ndarray, points: np.ndarray, n: int) -> np.nda
     )
 
 
+def _junction_offset(state: PhaseField, cell: tuple[int, ...]) -> np.ndarray:
+    """Offset from ``cell`` to the point where its three largest phases are equal.
+
+    Least-squares planes fitted to the two differences of those phases over
+    the 3x3 block centred on the cell are solved for their common zero.  The
+    offset is zero when the planes are parallel or meet outside the block.
+    """
+    n, h = state.spec.n, state.spec.h
+    top = np.argsort(state.values[(slice(None),) + cell])[-3:]
+    rows, cols = (np.asarray(cell)[:, None] + np.arange(-1, 2)) % n
+    diffs = np.diff(state.values[np.ix_(top, rows, cols)], axis=0)
+    steps = np.arange(-1, 2) * h
+    # On the symmetric stencil the fitted slope along an axis is
+    # sum(d * x) / sum(x^2), with sum(x^2) = 6 h^2 over the nine points.
+    slopes = np.stack(
+        [np.einsum("pij,i->p", diffs, steps), np.einsum("pij,j->p", diffs, steps)], axis=1
+    ) / (6.0 * h * h)
+    try:
+        offset = np.linalg.solve(slopes, -diffs.mean(axis=(1, 2)))
+    except np.linalg.LinAlgError:
+        return np.zeros(2)
+    return offset if np.all(np.abs(offset) <= h) else np.zeros(2)
+
+
 def measure_junction_angles(
     state: PhaseField,
     center_hint: tuple[float, float],
@@ -335,11 +359,13 @@ def measure_junction_angles(
     """Sector angles of the phases around a triple junction, in degrees.
 
     Protocol: locate the junction as the cell minimizing max_i u_i within
-    ``search_radius`` of the hint, then walk circles of radius r in the
-    annulus (default [5h, 15h]), assign each angular sample its dominant
-    phase by bilinear interpolation, and read off the boundary directions
-    where the dominant phase switches.  Boundary directions are averaged over
-    radii per phase pair; the returned sector widths sum to 360.
+    ``search_radius`` of the hint, refined to the sub-cell point where the
+    three largest phases there are equal (plane fits on its 3x3 block), then
+    walk circles of radius r in the annulus (default [5h, 15h]), assign each
+    angular sample its dominant phase by bilinear interpolation, and read off
+    the boundary directions where the dominant phase switches.  Boundary
+    directions are averaged over radii per phase pair; the returned sector
+    widths sum to 360.
 
     Returns (sector_angles_deg, junction_location).
     """
@@ -359,7 +385,7 @@ def measure_junction_angles(
     dominance = np.max(state.values, axis=0)
     masked = np.where(near, dominance, np.inf)
     jidx = np.unravel_index(np.argmin(masked), masked.shape)
-    junction = np.array([X[jidx], Y[jidx]])
+    junction = (np.array([X[jidx], Y[jidx]]) + _junction_offset(state, jidx)) % 1.0
 
     thetas = np.arange(n_theta) * (2 * np.pi / n_theta)
     boundary_by_pair: dict[tuple[int, int], list[float]] = {}

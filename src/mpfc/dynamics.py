@@ -362,47 +362,64 @@ def step(
     return StepResult(out, rate, fe.floored_fraction)
 
 
-def _project_weighted_square(u: np.ndarray, max_iter: int = 60, tol: float = 1e-12) -> np.ndarray:
-    """Per-cell scalar shift t with sum_i k(u_i + t) = 1/6, by bisection.
+def _project_weighted_square(
+    u: np.ndarray, defect: np.ndarray, max_iter: int = 60, tol: float = 1e-12
+) -> np.ndarray:
+    """Per-cell scalar shift t with sum_i k(u_i + t) = 1/6, by safeguarded Newton.
 
-    sum_i k(u_i + t) is nondecreasing in t and unbounded both ways, so a
-    bracket always exists; it is located by doubling from [-0.5, 0.5].
-    Cells already on the manifold keep t = 0 exactly: near wells the defect
-    is quadratic in t and floating point flattens it, so bisection alone
-    would wander to the plateau edge instead of staying put.
+    ``defect`` is f(0) = sum_i k(u_i) - 1/6 per cell.  f is nondecreasing and
+    unbounded both ways with f'(t) = sum_i g(u_i + t), so a bracket always
+    exists; it is located by doubling from [-0.5, 0.5] (one end is t = 0, on
+    the side the sign of f(0) gives).  Newton then starts at t = 0 and each
+    step shrinks the bracket by the sign of f; where the Newton step is not
+    finite or leaves the bracket the midpoint is taken instead (rtsafe,
+    Numerical Recipes 9.4).  Near the wells sum g vanishes and f behaves like
+    s|s|, where Newton alone only halves the error.  Only cells that have not
+    converged (|step| > tol) are iterated, gathered by index.
+
+    Cells already on the manifold (|f(0)| <= 1e-13) keep t = 0 exactly: near
+    wells the defect is quadratic in t and floating point flattens it, so a
+    root search would wander to the plateau edge instead of staying put.
     """
     target = 1.0 / 6.0
+    shift = np.zeros(defect.size)
+    cells = np.flatnonzero(np.abs(defect) > 1e-13)
+    v = np.take(u.reshape(u.shape[0], -1), cells, axis=1)
+    f = defect.ravel()[cells]
 
-    def f(t):
-        return np.sum(well_primitive(u + t[None]), axis=0) - target
-
-    exact = np.abs(f(np.zeros(u.shape[1:]))) <= 1e-13
-
-    lo = np.full(u.shape[1:], -0.5)
-    hi = np.full(u.shape[1:], 0.5)
+    side = np.where(f > 0.0, -0.5, 0.5)
     for _ in range(12):
-        bad_lo = f(lo) > 0.0
-        bad_hi = f(hi) < 0.0
-        if not (bad_lo.any() or bad_hi.any()):
+        short = np.sign(np.sum(well_primitive(v + side), axis=0) - target) == np.sign(f)
+        if not short.any():
             break
-        lo = np.where(bad_lo, 2.0 * lo, lo)
-        hi = np.where(bad_hi, 2.0 * hi, hi)
+        side = np.where(short, 2.0 * side, side)
     else:
-        raise ProjectionError("bisection bracket failure in weighted-square projection")
+        raise ProjectionError("bracket failure in weighted-square projection")
+    lo = np.minimum(side, 0.0)
+    hi = np.maximum(side, 0.0)
 
+    t = np.zeros(cells.size)
+    fprime = np.sum(sqrt_double_well(v), axis=0)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        high = f(mid) > 0.0
-        lo = np.where(high, lo, mid)
-        hi = np.where(high, mid, hi)
-        if float(np.max(hi - lo)) <= tol:
-            break
-    else:
-        raise ProjectionError(
-            f"weighted-square bisection did not reach tol={tol} in {max_iter} iterations"
-        )
-    shift = np.where(exact, 0.0, 0.5 * (lo + hi))
-    return u + shift[None]
+        hi = np.where(f >= 0.0, t, hi)
+        lo = np.where(f <= 0.0, t, lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = t - f / fprime
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        done = np.abs(new - t) <= tol
+        t = new
+        shift[cells[done]] = t[done]
+        keep = ~done
+        cells, t, lo, hi = cells[keep], t[keep], lo[keep], hi[keep]
+        if cells.size == 0:
+            return u + shift.reshape(defect.shape)[None]
+        v = np.compress(keep, v, axis=1)
+        s = v + t
+        f = np.sum(well_primitive(s), axis=0) - target
+        fprime = np.sum(sqrt_double_well(s), axis=0)
+    raise ProjectionError(
+        f"weighted-square Newton iteration did not reach tol={tol} in {max_iter} iterations"
+    )
 
 
 def project_constraint(
@@ -411,12 +428,15 @@ def project_constraint(
     """Return the state projected exactly onto the model's constraint manifold.
 
     SphereLL normalizes radially; the sum models shift all phases by the mean
-    defect; WeightedSquare solves the per-cell scalar shift by bisection.
-    Raises ProjectionError when the state is further than ``max_violation``
-    from the manifold (pass ``max_violation=inf`` for initial-data projection).
+    defect; WeightedSquare solves the per-cell scalar shift by safeguarded
+    Newton (see ``_project_weighted_square``), starting from the same defect
+    that the violation check reads.  Raises ProjectionError when the state is
+    further than ``max_violation`` from the manifold (pass
+    ``max_violation=inf`` for initial-data projection).
     """
     _check_state(state, model)
-    violation = constraint_violation(state, model)
+    defect = constraint_values(state, model)
+    violation = float(np.max(np.abs(defect)))
     if violation > max_violation * (1.0 + 1e-12):
         raise ProjectionError(
             f"state is {violation:.3e} from the constraint manifold "
@@ -429,8 +449,7 @@ def project_constraint(
             raise ProjectionSingularError("zero phase vector: radial projection undefined")
         new = u / norm[None]
     elif model.kind == ModelKind.WEIGHTED_SQUARE:
-        new = _project_weighted_square(u)
+        new = _project_weighted_square(u, defect)
     else:
-        defect = (np.sum(u, axis=0) - 1.0) / model.n_phases
-        new = u - defect[None]
+        new = u - defect[None] / model.n_phases
     return state.with_values(new)

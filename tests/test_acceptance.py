@@ -29,6 +29,8 @@ from mpfc.snapshots import read_snapshot, write_snapshot
 from mpfc.study import convergence_study
 from mpfc.testfields import bump_field, radial_vector_field, random_smooth_vector_field
 
+pytestmark = pytest.mark.acceptance
+
 N = 256
 GRID = GridSpec(2, N)
 EPS = 8.0 / N

@@ -324,3 +324,19 @@ class TestJunctionMetrology:
         angles, junction = measure_junction_angles(state, (0.5, 0.5))
         assert np.allclose(angles, 120.0, atol=2.0)
         assert np.allclose(junction, 0.5, atol=2 * spec.h)
+
+    def test_off_node_centres_measured_at_120_degrees(self):
+        # Exact 120-degree wedges centred between grid nodes: snapping the
+        # junction to the nearest node biases the sectors by up to ~10 degrees.
+        spec = GridSpec(2, 128)
+        eps = 8.0 / 128
+        model = ModelSpec(ModelKind.WEIGHTED_SQUARE, eps, 3)
+        rng = np.random.default_rng(0)
+        for center in rng.uniform(0.4, 0.6, size=(24, 2)):
+            u = TripleJunction(center=tuple(center)).profiles(spec, eps)
+            state = project_constraint(PhaseField(spec, u), model, max_violation=np.inf)
+            angles, junction = measure_junction_angles(state, tuple(center))
+            offset = junction - center
+            offset -= np.round(offset)
+            assert np.allclose(angles, 120.0, atol=3.0), (center, angles)
+            assert np.max(np.abs(offset)) <= 0.25 * spec.h, (center, junction)

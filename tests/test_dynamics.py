@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import disk_state, double_profile, random_smooth_state, strip_state, projected_sphere_state
 from mpfc.dynamics import (
     ModelKind,
     ModelSpec,
     PhaseField,
+    _project_weighted_square,
     chemical_potential,
     compute_multiplier,
+    constraint_values,
     constraint_violation,
     dissipation_rate,
     explicit_dt_limit,
@@ -26,7 +29,8 @@ from mpfc.errors import (
     ProjectionSingularError,
 )
 from mpfc.grid import GridSpec, ScalarField
-from mpfc.potential import double_well_prime
+from mpfc.potential import double_well_prime, sqrt_double_well, well_primitive
+from mpfc.scenarios import TripleJunction
 
 
 def wells_state(spec, pattern=(1.0, 0.0)) -> PhaseField:
@@ -237,6 +241,75 @@ class TestProjection:
         state = random_smooth_state(spec, 3, seed=21, amplitude=0.15)
         out = project_constraint(state, model, max_violation=np.inf)
         assert constraint_violation(out, model) <= 1e-10
+
+    @staticmethod
+    def scalar_shift(column: np.ndarray) -> float:
+        """Reference root of sum_i k(u_i + t) = 1/6 for one cell, by brentq.
+
+        Cells within 1e-13 of the manifold keep t = 0, as the projection
+        promises.
+        """
+        def f(t):
+            return float(np.sum(well_primitive(column + t))) - 1.0 / 6.0
+
+        if abs(f(0.0)) <= 1e-13:
+            return 0.0
+        lo, hi = (-0.5, 0.0) if f(0.0) > 0 else (0.0, 0.5)
+        while f(lo) > 0:
+            lo *= 2.0
+        while f(hi) < 0:
+            hi *= 2.0
+        return brentq(f, lo, hi, xtol=1e-15, maxiter=500)
+
+    @pytest.mark.parametrize(
+        "case, size", [("random", 0.3), ("wells", 1e-3), ("wells", 1e-5), ("junction", None)]
+    )
+    def test_weighted_square_shift_matches_scalar_root(self, case, size):
+        spec = GridSpec(2, 24)
+        model = ModelSpec(ModelKind.WEIGHTED_SQUARE, 0.05, 3)
+        if case == "random":
+            u = random_smooth_state(spec, 3, seed=21, amplitude=size).values
+        elif case == "junction":
+            u = TripleJunction().profiles(spec, 4.0 / 24)
+        else:
+            rng = np.random.default_rng(3)
+            u = wells_state(spec, (1.0, 0.0, 0.0)).values + size * rng.uniform(-1, 1, (3,) + spec.shape)
+        state = PhaseField(spec, u)
+        out = project_constraint(state, model, max_violation=np.inf).values
+        shift = out - u
+        assert np.max(np.ptp(shift, axis=0)) <= 1e-15
+        root = np.array([self.scalar_shift(u[:, i, j]) for i, j in np.ndindex(spec.shape)])
+        root = root.reshape(spec.shape)
+        # f is evaluated to about one ulp of 1/6, so where f'(t*) = sum_i g is
+        # small (near the wells) every t within eps/f' of the root gives f = 0
+        # exactly; no method resolves the root more finely than that.
+        fuzz = np.finfo(float).eps / np.sum(sqrt_double_well(u + root[None]), axis=0)
+        assert np.all(np.abs(shift[0] - root) <= 1e-12 + fuzz)
+        assert constraint_violation(PhaseField(spec, out), model) <= 1e-13
+
+    def test_weighted_square_cells_on_manifold_unchanged(self):
+        spec = GridSpec(2, 32)
+        model = ModelSpec(ModelKind.WEIGHTED_SQUARE, 0.05, 3)
+        u = project_constraint(
+            random_smooth_state(spec, 3, seed=5), model, max_violation=np.inf
+        ).values.copy()
+        u[:, :16] = random_smooth_state(spec, 3, seed=6).values[:, :16]
+        u[:, :, :8] = np.array([1.0, 0.0, 0.0])[:, None, None]
+        state = PhaseField(spec, u)
+        on = np.abs(constraint_values(state, model)) <= 1e-13
+        assert 0 < np.sum(on) < on.size
+        out = project_constraint(state, model, max_violation=np.inf).values
+        assert np.array_equal(out[:, on].view(np.uint64), u[:, on].view(np.uint64))
+        assert np.all(out[:, ~on] != u[:, ~on])
+
+    def test_weighted_square_error_paths(self, spec64):
+        model = ModelSpec(ModelKind.WEIGHTED_SQUARE, 0.05, 3)
+        state = random_smooth_state(GridSpec(2, 32), 3, seed=21, amplitude=0.3)
+        with pytest.raises(ProjectionError, match="did not reach"):
+            _project_weighted_square(state.values, constraint_values(state, model), max_iter=1)
+        far = wells_state(spec64, (1e4, 0.0, 0.0))
+        with pytest.raises(ProjectionError, match="bracket"):
+            project_constraint(far, model, max_violation=np.inf)
 
     def test_sphere_zero_vector_is_singular(self, spec64):
         model = ModelSpec(ModelKind.SPHERE_LL, 0.05, 2)
