@@ -51,11 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
-from .diagnostics import phase_energy_densities
-from .dynamics import ModelKind, ModelSpec, PhaseField, rhs
+from .diagnostics import energy_densities
+from .dynamics import FlowEval, ModelKind, ModelSpec, PhaseField, flow, rhs
 from .errors import InputError
 from .grid import GridSpec, ScalarField
-from .potential import SIGMA, double_well_prime
+from .potential import SIGMA
 
 __all__ = [
     "KernelSpec",
@@ -164,20 +164,16 @@ def kernel_field(
     return rho, grad
 
 
-def _energy_density(state: PhaseField, eps: float) -> np.ndarray:
-    dens = sum(0.5 * eps * grad_sq + well / eps for grad_sq, well in phase_energy_densities(state))
-    return SIGMA_INV * dens
-
-
-def _discrepancy_density(state: PhaseField, eps: float) -> np.ndarray:
-    dens = sum(0.5 * eps * grad_sq - well / eps for grad_sq, well in phase_energy_densities(state))
-    return SIGMA_INV * dens
+def _densities(state: PhaseField, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """SIGMA^{-1} sum_i of the energy and signed discrepancy densities, from one pass."""
+    energy, discrepancy = energy_densities(state, eps)
+    return SIGMA_INV * sum(energy), SIGMA_INV * sum(discrepancy)
 
 
 def gaussian_density(state: PhaseField, eps: float, spec: KernelSpec) -> float:
     """int rho(., t) d(mu_t) at the state's own time."""
     rho, _ = kernel_field(state.spec, state.time, spec)
-    return g.integrate_raw(rho * _energy_density(state, eps), state.spec.h, state.spec.d)
+    return g.integrate_raw(rho * _densities(state, eps)[0], state.spec.h, state.spec.d)
 
 
 @dataclass(frozen=True)
@@ -196,7 +192,7 @@ class MonotonicityTrace:
 
 
 def _dissipation_term(
-    state: PhaseField, model: ModelSpec, rho: np.ndarray, grad_rho: np.ndarray
+    state: PhaseField, eps: float, du: np.ndarray, rho: np.ndarray, grad_rho: np.ndarray
 ) -> float:
     """-SIGMA^{-1} sum_i int eps rho (du_i/dt + grad u_i . grad rho / rho)^2 dx.
 
@@ -205,8 +201,6 @@ def _dissipation_term(
     with the last ratio guarded (it decays like rho |x|^2 anyway).
     """
     h, d = state.spec.h, state.spec.d
-    eps = model.eps
-    du = rhs(state, model)
     rho_safe = np.maximum(rho, 1e-300)
     total = 0.0
     for i in range(state.n_phases):
@@ -217,7 +211,7 @@ def _dissipation_term(
     return -SIGMA_INV * eps * total
 
 
-def _multiplier_terms(state: PhaseField, model: ModelSpec, rho: np.ndarray, grad_rho: np.ndarray):
+def _multiplier_terms(state: PhaseField, fe: FlowEval, rho: np.ndarray, grad_rho: np.ndarray):
     """Per-phase multiplier terms of the Gaussian-density identity (sphere model).
 
     term_i = (1/(2 SIGMA)) [ int rho lam d_t(u_i^2) dx + int lam grad rho . grad(u_i^2) dx ].
@@ -226,15 +220,11 @@ def _multiplier_terms(state: PhaseField, model: ModelSpec, rho: np.ndarray, grad
     sums vanish to round-off on projected states.
     """
     h, d = state.spec.h, state.spec.d
-    eps = model.eps
-    lap = g.laplacian_raw(state.values, h, axis_offset=1)
-    mu = -eps * lap + double_well_prime(state.values) / eps
-    lam = np.sum(state.values * mu, axis=0)
-    du = (lam[None] * state.values - mu) / eps
+    lam = fe.multiplier
     total = 0.0
     scale = 0.0
     for i in range(state.n_phases):
-        dsq_dt = 2.0 * state.values[i] * du[i]
+        dsq_dt = 2.0 * state.values[i] * fe.rhs[i]
         a_term = (0.5 * SIGMA_INV) * g.integrate_raw(rho * lam * dsq_dt, h, d)
         grads_sq = g.gradient_raw(state.values[i] * state.values[i], h)
         b_term = (0.5 * SIGMA_INV) * g.integrate_raw(
@@ -279,15 +269,15 @@ def monotonicity_check(
     scale = np.empty(len(run)) if cancel is not None else None
     for k, st in enumerate(run):
         rho, grad_rho = kernel_field(st.spec, st.time, spec, with_gradient=model is not None)
-        G[k] = g.integrate_raw(rho * _energy_density(st, eps), st.spec.h, st.spec.d)
+        energy, discrepancy = _densities(st, eps)
+        G[k] = g.integrate_raw(rho * energy, st.spec.h, st.spec.d)
         tau = spec.terminal_s - st.time
-        bound[k] = g.integrate_raw(rho * _discrepancy_density(st, eps), st.spec.h, st.spec.d) / (
-            2.0 * tau
-        )
-        if square is not None:
-            square[k] = _dissipation_term(st, model, rho, grad_rho)
+        bound[k] = g.integrate_raw(rho * discrepancy, st.spec.h, st.spec.d) / (2.0 * tau)
+        if model is not None:
+            fe = flow(st, model)
+            square[k] = _dissipation_term(st, model.eps, fe.rhs, rho, grad_rho)
         if cancel is not None:
-            cancel[k], scale[k] = _multiplier_terms(st, model, rho, grad_rho)
+            cancel[k], scale[k] = _multiplier_terms(st, fe, rho, grad_rho)
 
     interior = np.arange(1, len(run) - 1)
     fd = (G[interior + 1] - G[interior - 1]) / (2.0 * dt)
@@ -321,7 +311,7 @@ def monotonicity_check(
 
 def mu_of_phi(state: PhaseField, eps: float, phi_values: np.ndarray) -> float:
     """int phi d(mu_t) for a nonnegative test function sampled on the grid."""
-    return g.integrate_raw(phi_values * _energy_density(state, eps), state.spec.h, state.spec.d)
+    return g.integrate_raw(phi_values * _densities(state, eps)[0], state.spec.h, state.spec.d)
 
 
 def brakke_rhs_integrand(
@@ -344,7 +334,7 @@ def brakke_rhs_integrand(
     value = 0.0
     dphi = np.asarray(dphi_dt_values)
     if dphi.ndim > 0 or dphi != 0.0:
-        value += g.integrate_raw(dphi * _energy_density(state, eps), h, d)
+        value += g.integrate_raw(dphi * _densities(state, eps)[0], h, d)
     value -= SIGMA_INV * eps * g.integrate_raw(phi_values * np.sum(rhs_values * rhs_values, axis=0), h, d)
     cross = np.zeros(state.spec.shape)
     for i in range(state.n_phases):

@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as g
-from .dynamics import ModelSpec, PhaseField, constraint_violation, rhs
+from .dynamics import ModelSpec, PhaseField, constraint_violation, flow, rhs
 from .errors import InputError
 from .grid import ScalarField, VectorField
-from .potential import SIGMA, double_well, double_well_prime, sqrt_double_well
+from .potential import SIGMA, double_well, sqrt_double_well
 
 __all__ = [
     "MeasureSample",
@@ -50,7 +50,6 @@ __all__ = [
     "measure_sample",
     "first_variation",
     "mean_curvature_proxy",
-    "holder_continuity",
     "measure_junction_angles",
 ]
 
@@ -76,39 +75,50 @@ class MeasureSample:
     overshoot: float                   # max distance of any value outside [0, 1]
 
 
-def phase_energy_densities(state: PhaseField):
-    """Yield (grad_sq, well) density pairs per phase.
+def phase_energy_densities(state: PhaseField) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (grad_sq, well) densities, each shaped like ``state.values``.
 
-    grad_sq is ``grid.grad_dot_raw(u_i, u_i)``; every energy-type density of
-    the package (energy, discrepancy, BV, weighted balances) is built from it.
+    grad_sq is ``grid.grad_dot_raw(u_i, u_i)`` per phase; every energy-type
+    density of the package (energy, discrepancy, BV, weighted balances) is
+    built from this one pass.
     """
     h = state.spec.h
-    for i in range(state.n_phases):
-        ui = state.values[i]
-        yield g.grad_dot_raw(ui, ui, h), double_well(ui)
+    grad_sq = np.stack([g.grad_dot_raw(ui, ui, h) for ui in state.values])
+    return grad_sq, double_well(state.values)
 
 
-def _weight_values(state: PhaseField, test_fn: ScalarField | None) -> np.ndarray | None:
-    if test_fn is None:
-        return None
-    if test_fn.spec != state.spec:
-        raise ValueError("test function lives on a different grid")
-    return test_fn.values
+def _split_densities(grad_sq: np.ndarray, well: np.ndarray, eps: float):
+    gradient = 0.5 * eps * grad_sq
+    potential = well / eps
+    return gradient + potential, gradient - potential
+
+
+def energy_densities(state: PhaseField, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-phase energy and signed discrepancy densities, before the SIGMA^{-1} factor."""
+    return _split_densities(*phase_energy_densities(state), eps)
+
+
+def _integrate_phases(
+    state: PhaseField, dens: np.ndarray, test_fn: ScalarField | None = None
+) -> np.ndarray:
+    """SIGMA^{-1} int dens_i (times the test function) dx for each phase."""
+    if test_fn is not None:
+        if test_fn.spec != state.spec:
+            raise ValueError("test function lives on a different grid")
+        dens = dens * test_fn.values
+    h, d = state.spec.h, state.spec.d
+    return np.array([SIGMA_INV * g.integrate_raw(x, h, d) for x in dens])
+
+
+def _bv_density(state: PhaseField, grad_sq: np.ndarray) -> np.ndarray:
+    return np.sqrt(grad_sq) * sqrt_double_well(state.values)
 
 
 def energy_measure(
     state: PhaseField, eps: float, test_fn: ScalarField | None = None
 ) -> np.ndarray:
     """Per-phase diffuse surface energy, optionally weighted by a test function."""
-    w = _weight_values(state, test_fn)
-    h, d = state.spec.h, state.spec.d
-    out = np.empty(state.n_phases)
-    for i, (grad_sq, well) in enumerate(phase_energy_densities(state)):
-        dens = 0.5 * eps * grad_sq + well / eps
-        if w is not None:
-            dens = dens * w
-        out[i] = SIGMA_INV * g.integrate_raw(dens, h, d)
-    return out
+    return _integrate_phases(state, energy_densities(state, eps)[0], test_fn)
 
 
 def discrepancy_measure(
@@ -118,17 +128,8 @@ def discrepancy_measure(
     signed: bool = True,
 ) -> np.ndarray:
     """Per-phase gradient-minus-potential discrepancy (signed or absolute)."""
-    w = _weight_values(state, test_fn)
-    h, d = state.spec.h, state.spec.d
-    out = np.empty(state.n_phases)
-    for i, (grad_sq, well) in enumerate(phase_energy_densities(state)):
-        dens = 0.5 * eps * grad_sq - well / eps
-        if not signed:
-            dens = np.abs(dens)
-        if w is not None:
-            dens = dens * w
-        out[i] = SIGMA_INV * g.integrate_raw(dens, h, d)
-    return out
+    dens = energy_densities(state, eps)[1]
+    return _integrate_phases(state, dens if signed else np.abs(dens), test_fn)
 
 
 def bv_proxy(state: PhaseField) -> np.ndarray:
@@ -137,12 +138,7 @@ def bv_proxy(state: PhaseField) -> np.ndarray:
     |grad u| is the square root of the energy's gradient density, so AM-GM,
     eps a^2/2 + W/eps >= a sqrt(2W), gives bv_i <= energy_i cell by cell.
     """
-    h, d = state.spec.h, state.spec.d
-    out = np.empty(state.n_phases)
-    for i, (grad_sq, _) in enumerate(phase_energy_densities(state)):
-        norm = np.sqrt(grad_sq)
-        out[i] = SIGMA_INV * g.integrate_raw(norm * sqrt_double_well(state.values[i]), h, d)
-    return out
+    return _integrate_phases(state, _bv_density(state, phase_energy_densities(state)[0]))
 
 
 def energy_bv_gap(sample: MeasureSample) -> float:
@@ -163,18 +159,18 @@ def measure_sample(
     if rhs_values is None:
         rhs_values = rhs(state, model)
     h, d = state.spec.h, state.spec.d
-    energy = energy_measure(state, eps)
-    disc_signed = discrepancy_measure(state, eps, signed=True)
-    disc_abs = discrepancy_measure(state, eps, signed=False)
+    grad_sq, well = phase_energy_densities(state)
+    energy_dens, disc_dens = _split_densities(grad_sq, well, eps)
+    energy = _integrate_phases(state, energy_dens)
     rate = SIGMA_INV * eps * g.integrate_raw(rhs_values * rhs_values, h, d)
     volumes = np.array([g.integrate_raw(state.values[i], h, d) for i in range(state.n_phases)])
     return MeasureSample(
         time=state.time,
         energy_per_phase=energy,
         energy_total=float(np.sum(energy)),
-        discrepancy_per_phase=disc_signed,
-        discrepancy_abs=float(np.sum(disc_abs)),
-        bv_proxy_per_phase=bv_proxy(state),
+        discrepancy_per_phase=_integrate_phases(state, disc_dens),
+        discrepancy_abs=float(np.sum(_integrate_phases(state, np.abs(disc_dens)))),
+        bv_proxy_per_phase=_integrate_phases(state, _bv_density(state, grad_sq)),
         dissipation_rate=rate,
         constraint_drift=constraint_violation(state, model),
         phase_volumes=volumes,
@@ -208,7 +204,6 @@ def first_variation(
     model: ModelSpec,
     test_field: VectorField,
     test_field_id: str = "g",
-    gradient_floor: float = GRADIENT_FLOOR,
 ) -> VariationReport:
     if test_field.spec != state.spec:
         raise ValueError("test field lives on a different grid")
@@ -218,7 +213,7 @@ def first_variation(
     gv = test_field.values
     grad_g = [g.gradient_raw(gv[a], h) for a in range(d)]  # grad_g[a][b] = d_b g_a
     div_g = sum(grad_g[a][a] for a in range(d))
-    du = rhs(state, model)
+    fe = flow(state, model)
 
     varifold = 0.0
     chemical = 0.0
@@ -229,10 +224,9 @@ def first_variation(
         norm_sq = sum(c * c for c in grads)
         norm = np.sqrt(norm_sq)
         well = double_well(ui)
-        mu = -eps * g.laplacian_raw(ui, h) + double_well_prime(ui) / eps
 
         # (n x n) : grad g = sum_ab n_a n_b d_a g_b; guard the floored cells.
-        mask = norm > gradient_floor
+        mask = norm > GRADIENT_FLOOR
         safe = np.where(mask, norm_sq, 1.0)
         nn_gg = sum(grads[a] * grads[b] * grad_g[b][a] for a in range(d) for b in range(d)) / safe
         energy_dens = SIGMA_INV * (0.5 * eps * norm_sq + well / eps)
@@ -242,8 +236,8 @@ def first_variation(
         )
 
         g_dot_grad = sum(gv[a] * grads[a] for a in range(d))
-        chemical += -SIGMA_INV * g.integrate_raw(g_dot_grad * mu, h, d)
-        kinetic += SIGMA_INV * eps * g.integrate_raw(du[i] * g_dot_grad, h, d)
+        chemical += -SIGMA_INV * g.integrate_raw(g_dot_grad * fe.mu[i], h, d)
+        kinetic += SIGMA_INV * eps * g.integrate_raw(fe.rhs[i] * g_dot_grad, h, d)
 
     return VariationReport(
         test_field_id=test_field_id,
@@ -278,30 +272,6 @@ def mean_curvature_proxy(
             comps[a] += SIGMA_INV * eps * du[i] * grads[a]
     bound = SIGMA_INV * eps * g.integrate_raw(du * du, h, d)
     return VectorField(spec, np.stack(comps)), bound
-
-
-def holder_continuity(states: list[PhaseField]) -> dict:
-    """Fit C in  int |u_i(t2) - u_i(t1)| dx <= C sqrt(t2 - t1) over state pairs.
-
-    Reported, never asserted: the constant is scenario dependent.  Consecutive
-    pairs and pairs against the initial state are used.
-    """
-    if len(states) < 2:
-        raise InputError("holder_continuity needs at least two states")
-    h, d = states[0].spec.h, states[0].spec.d
-    ratios = []
-    pairs = [(k, k + 1) for k in range(len(states) - 1)]
-    pairs += [(0, k) for k in range(2, len(states))]
-    for a, b in pairs:
-        dt = states[b].time - states[a].time
-        if dt <= 0:
-            raise InputError("states must be ordered by increasing time")
-        dist = max(
-            g.integrate_raw(np.abs(states[b].values[i] - states[a].values[i]), h, d)
-            for i in range(states[0].n_phases)
-        )
-        ratios.append(dist / np.sqrt(dt))
-    return {"holder_constant": float(np.max(ratios)), "n_pairs": len(pairs)}
 
 
 def _bilinear_periodic(values: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
@@ -358,19 +328,22 @@ def measure_junction_angles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sector angles of the phases around a triple junction, in degrees.
 
-    Protocol: locate the junction as the cell minimizing max_i u_i within
-    ``search_radius`` of the hint, refined to the sub-cell point where the
-    three largest phases there are equal (plane fits on its 3x3 block), then
-    walk circles of radius r in the annulus (default [5h, 15h]), assign each
-    angular sample its dominant phase by bilinear interpolation, and read off
-    the boundary directions where the dominant phase switches.  Boundary
-    directions are averaged over radii per phase pair; the returned sector
-    widths sum to 360.
+    Protocol: locate the junction as the cell minimizing u_(1) - u_(3), the
+    spread of the three largest phases, within ``search_radius`` of the hint
+    (max_i u_i would not do: it is flat at 1/2 along every interface of
+    unprojected profiles), refined to the sub-cell point where those three
+    phases are equal (plane fits on its 3x3 block); then walk circles of
+    radius r in the annulus (default [5h, 15h]), assign each angular sample
+    its dominant phase by bilinear interpolation, and read off the boundary
+    directions where the dominant phase switches.  Boundary directions are
+    averaged over radii per phase pair; the returned sector widths sum to 360.
 
     Returns (sector_angles_deg, junction_location).
     """
     if state.spec.d != 2:
         raise InputError("junction metrology is implemented for d = 2 only")
+    if state.n_phases < 3:
+        raise InputError(f"a triple junction needs 3 phases, the state has {state.n_phases}")
     n = state.spec.n
     h = state.spec.h
     if annulus is None:
@@ -382,8 +355,8 @@ def measure_junction_angles(
     dy = Y - center_hint[1]
     dy -= np.round(dy)
     near = dx * dx + dy * dy <= search_radius**2
-    dominance = np.max(state.values, axis=0)
-    masked = np.where(near, dominance, np.inf)
+    ranked = np.sort(state.values, axis=0)
+    masked = np.where(near, ranked[-1] - ranked[-3], np.inf)
     jidx = np.unravel_index(np.argmin(masked), masked.shape)
     junction = (np.array([X[jidx], Y[jidx]]) + _junction_offset(state, jidx)) % 1.0
 

@@ -82,10 +82,6 @@ class ModelKind(str, enum.Enum):
     MEAN_SHIFT = "MeanShift"
     WEIGHTED_SQUARE = "WeightedSquare"
 
-    @property
-    def has_quotient_multiplier(self) -> bool:
-        return self in (ModelKind.WEIGHTED_SUM, ModelKind.WEIGHTED_SQUARE)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -103,11 +99,6 @@ class ModelSpec:
             raise ValueError(f"n_phases must be >= 2, got {self.n_phases}")
         if self.denom_floor < 0:
             raise ValueError("denom_floor must be >= 0")
-
-    @property
-    def sphere_reading_is_formal(self) -> bool:
-        """The Landau-Lifshitz cross-product form needs exactly 3 phases."""
-        return self.kind == ModelKind.SPHERE_LL and self.n_phases != 3
 
 
 @dataclass(frozen=True)
@@ -133,10 +124,6 @@ class PhaseField:
     def n_phases(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def phases(self) -> tuple[ScalarField, ...]:
-        return tuple(ScalarField(self.spec, self.values[i]) for i in range(self.n_phases))
-
     def with_values(self, values: np.ndarray, time: float | None = None) -> "PhaseField":
         return PhaseField(self.spec, values, self.time if time is None else time)
 
@@ -149,10 +136,6 @@ class MultiplierField:
     floored_fraction: float
     constraint_warning: bool = False
 
-    @property
-    def spec(self) -> GridSpec:
-        return self.values.spec
-
 
 class StepResult(NamedTuple):
     state: PhaseField
@@ -161,11 +144,12 @@ class StepResult(NamedTuple):
 
 
 class FlowEval(NamedTuple):
-    """One evaluation of the flow at a state: du/dt plus reusable pieces."""
+    """One evaluation of the flow at a state: du/dt and the pieces it is built from."""
 
-    rhs: np.ndarray
-    lap: np.ndarray
-    multiplier: np.ndarray
+    rhs: np.ndarray         # du/dt, shaped like the state's values
+    lap: np.ndarray         # Lap_h u per phase
+    mu: np.ndarray          # chemical potential per phase
+    multiplier: np.ndarray  # Lagrange multiplier, grid shaped
     floored_fraction: float
 
 
@@ -190,55 +174,55 @@ def constraint_violation(state: PhaseField, model: ModelSpec) -> float:
     return float(np.max(np.abs(constraint_values(state, model))))
 
 
+def _chemical_potential(u: np.ndarray, lap: np.ndarray, eps: float) -> np.ndarray:
+    return -eps * lap + double_well_prime(u) / eps
+
+
 def chemical_potential(u_i: ScalarField, eps: float) -> ScalarField:
     """mu = -eps Lap u + W'(u)/eps, one component of the energy gradient."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    vals = -eps * g.laplacian_raw(u_i.values, u_i.spec.h) + double_well_prime(u_i.values) / eps
-    return ScalarField(u_i.spec, vals)
+    lap = g.laplacian_raw(u_i.values, u_i.spec.h)
+    return ScalarField(u_i.spec, _chemical_potential(u_i.values, lap, eps))
 
 
-class _Assembly(NamedTuple):
-    lap: np.ndarray         # (N,)+shape
-    mu: np.ndarray          # chemical potential per phase
-    multiplier: np.ndarray  # shape = grid shape
-    coupling: np.ndarray    # (N,)+shape, the multiplier term of the flow
-    floored_fraction: float
-
-
-def _assemble(u: np.ndarray, model: ModelSpec, spec: GridSpec) -> _Assembly:
+def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
+    """Evaluate du/dt together with the Laplacian, chemical potential and multiplier."""
+    _check_state(state, model)
+    u = state.values
+    eps = model.eps
+    floored_fraction = 0.0
     # Overflow in the polynomial terms is legitimate blow-up; it surfaces via
     # the finiteness check after stepping, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        eps = model.eps
-        lap = g.laplacian_raw(u, spec.h, axis_offset=1)
-        mu = -eps * lap + double_well_prime(u) / eps
+        lap = g.laplacian_raw(u, state.spec.h, axis_offset=1)
+        mu = _chemical_potential(u, lap, eps)
 
         if model.kind == ModelKind.SPHERE_LL:
             lam = np.sum(u * mu, axis=0)
-            return _Assembly(lap, mu, lam, lam[None] * u, 0.0)
-
-        if model.kind == ModelKind.MEAN_SHIFT:
+            coupling = lam[None] * u
+        elif model.kind == ModelKind.MEAN_SHIFT:
             lam = np.mean(mu, axis=0)
-            coupling = np.broadcast_to(lam[None], u.shape)
-            return _Assembly(lap, mu, lam, coupling, 0.0)
+            coupling = lam[None]
+        else:
+            weight = sqrt_double_well(u)
+            if model.kind == ModelKind.WEIGHTED_SUM:
+                num = np.sum(mu, axis=0)
+                den = np.sum(weight, axis=0)
+            else:  # WEIGHTED_SQUARE
+                num = np.sum(weight * mu, axis=0)
+                den = np.sum(weight * weight, axis=0)
 
-        weight = sqrt_double_well(u)
-        if model.kind == ModelKind.WEIGHTED_SUM:
-            num = np.sum(mu, axis=0)
-            den = np.sum(weight, axis=0)
-        else:  # WEIGHTED_SQUARE
-            num = np.sum(weight * mu, axis=0)
-            den = np.sum(weight * weight, axis=0)
-
-        floored = den < model.denom_floor
-        if model.denom_floor == 0.0 and np.any(den == 0.0):
-            cell = tuple(int(i) for i in np.argwhere(den == 0.0)[0])
-            raise DegenerateDenominatorError(
-                f"zero multiplier denominator at cell {cell} with denom_floor=0", cell
-            )
-        lam = np.where(floored, 0.0, num / np.where(floored, 1.0, den))
-        return _Assembly(lap, mu, lam, lam[None] * weight, float(np.mean(floored)))
+            floored = den < model.denom_floor
+            if model.denom_floor == 0.0 and np.any(den == 0.0):
+                cell = tuple(int(i) for i in np.argwhere(den == 0.0)[0])
+                raise DegenerateDenominatorError(
+                    f"zero multiplier denominator at cell {cell} with denom_floor=0", cell
+                )
+            lam = np.where(floored, 0.0, num / np.where(floored, 1.0, den))
+            coupling = lam[None] * weight
+            floored_fraction = float(np.mean(floored))
+    return FlowEval((coupling - mu) / eps, lap, mu, lam, floored_fraction)
 
 
 def compute_multiplier(state: PhaseField, model: ModelSpec) -> MultiplierField:
@@ -247,21 +231,12 @@ def compute_multiplier(state: PhaseField, model: ModelSpec) -> MultiplierField:
     Sets ``constraint_warning`` when the state is further than 1e-3 from its
     constraint manifold, since the multiplier formulas assume the constraint.
     """
-    _check_state(state, model)
-    asm = _assemble(state.values, model, state.spec)
+    fe = flow(state, model)
     return MultiplierField(
-        values=ScalarField(state.spec, np.ascontiguousarray(asm.multiplier)),
-        floored_fraction=asm.floored_fraction,
+        values=ScalarField(state.spec, np.ascontiguousarray(fe.multiplier)),
+        floored_fraction=fe.floored_fraction,
         constraint_warning=constraint_violation(state, model) > 1e-3,
     )
-
-
-def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
-    """Evaluate du/dt together with the Laplacian and multiplier it used."""
-    _check_state(state, model)
-    asm = _assemble(state.values, model, state.spec)
-    du = (asm.coupling - asm.mu) / model.eps
-    return FlowEval(du, asm.lap, asm.multiplier, asm.floored_fraction)
 
 
 def rhs(state: PhaseField, model: ModelSpec) -> np.ndarray:

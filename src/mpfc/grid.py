@@ -100,11 +100,6 @@ class ScalarField:
     def constant(cls, spec: GridSpec, value: float) -> "ScalarField":
         return cls(spec, np.full(spec.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, spec: GridSpec, fn) -> "ScalarField":
-        """Sample ``fn(*axes)`` on the grid (fn must broadcast over meshgrid arrays)."""
-        return cls(spec, fn(*spec.meshgrid()))
-
 
 @dataclass(frozen=True)
 class VectorField:

@@ -40,7 +40,7 @@ from .dynamics import (
 from .errors import BlowUpError, ScenarioError
 from .grid import ScalarField
 from .scenarios import Scenario, build_scenario
-from .snapshots import emit_timeseries, write_snapshot
+from .snapshots import emit_timeseries, read_snapshot, write_snapshot
 
 __all__ = ["BrakkeSeries", "RunRecord", "run_simulation", "load_run_states"]
 
@@ -76,7 +76,6 @@ class RunRecord:
     states: list[PhaseField] | None = None
     snapshot_paths: list[tuple[float, Path]] = field(default_factory=list)
     holder: dict | None = None
-    verdicts: dict = field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -198,6 +197,7 @@ def run_simulation(
             if step_index == n_steps:
                 break
             state = advance(state, model, dt, scenario.scheme, fe, project)
+            del fe  # free this step's flow arrays before the next flow call allocates
     except BlowUpError as exc:
         if out_path is not None:
             write_snapshot(last_snapshot, model, out_path / "last_good.mpfc")
@@ -240,8 +240,6 @@ def load_run_states(run_dir: str | os.PathLike):
     Returns (states, model_spec).  Raises ScenarioError when the directory
     holds no snapshots or the snapshots disagree on the model.
     """
-    from .snapshots import read_snapshot
-
     paths = sorted(Path(run_dir).glob("snap_*.mpfc"))
     if not paths:
         raise ScenarioError(f"no snapshots found in {run_dir}")

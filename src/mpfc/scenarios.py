@@ -42,7 +42,6 @@ __all__ = [
     "TripleJunction",
     "Scenario",
     "build_scenario",
-    "sharp_interface_length",
 ]
 
 
@@ -285,10 +284,6 @@ class TripleJunction:
 Geometry = FlatStrip | DoubleStrip | Disk | TwoDisks | TripleJunction
 
 
-def sharp_interface_length(geometry: Geometry) -> float | None:
-    return geometry.interface_length()
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Initial-data recipe plus run schedule."""
@@ -301,7 +296,6 @@ class Scenario:
     snapshot_every: int = 16
     projection: str = "every_step"
     scheme: str = "IMEX"
-    seed: int = 0
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -348,7 +342,7 @@ def build_scenario(scenario: Scenario) -> PhaseField:
     state = PhaseField(spec, u, time=0.0)
     state = project_constraint(state, model, max_violation=np.inf)
 
-    target = sharp_interface_length(geom)
+    target = geom.interface_length()
     if target is not None and model.kind.value != "SphereLL":
         from .diagnostics import energy_measure
 

@@ -41,9 +41,10 @@ class TestConfigParsing:
         assert scn.model.n_phases == 3
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = write_config(tmp_path, BASE_CONFIG + "\nwhatever = 1\n")
-        with pytest.raises(ConfigurationError):
-            parse_config(path)
+        for line in ("whatever = 1", "seed = 3"):
+            path = write_config(tmp_path, BASE_CONFIG + f"\n{line}\n")
+            with pytest.raises(ConfigurationError):
+                parse_config(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG + "\nn = 32\n")

@@ -15,6 +15,7 @@ from mpfc.diagnostics import (
     measure_sample,
 )
 from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, project_constraint, rhs
+from mpfc.errors import InputError
 from mpfc.grid import GridSpec, ScalarField, integrate_raw
 from mpfc.potential import SIGMA, double_well
 from mpfc.scenarios import TripleJunction
@@ -140,6 +141,19 @@ class TestMeasureSample:
             assert sample.bv_proxy_per_phase[i] <= sample.energy_per_phase[i] + 1e-12
         assert sample.overshoot < 1e-12
         assert sample.constraint_drift < 1e-12
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_single_pass_equals_the_public_measures(self, kind):
+        # measure_sample derives every measure from one pass over the
+        # densities; it must agree exactly with the standalone functions.
+        eps = 1.0 / 16.0
+        state = random_smooth_state(GridSpec(2, 64), 3, seed=7)
+        sample = measure_sample(state, ModelSpec(kind, eps, 3))
+        assert np.all(sample.energy_per_phase == energy_measure(state, eps))
+        assert np.all(sample.discrepancy_per_phase == discrepancy_measure(state, eps))
+        absolute = discrepancy_measure(state, eps, signed=False)
+        assert sample.discrepancy_abs == float(np.sum(absolute))
+        assert np.all(sample.bv_proxy_per_phase == bv_proxy(state))
 
 
 class TestFirstVariation:
@@ -340,3 +354,21 @@ class TestJunctionMetrology:
             offset -= np.round(offset)
             assert np.allclose(angles, 120.0, atol=3.0), (center, angles)
             assert np.max(np.abs(offset)) <= 0.25 * spec.h, (center, junction)
+
+    def test_unprojected_off_node_centres_measured_at_120_degrees(self):
+        # Unprojected profiles have max_i u_i = 1/2 along every interface, so
+        # only the spread of the three largest phases singles out the junction.
+        spec = GridSpec(2, 128)
+        eps = 8.0 / 128
+        rng = np.random.default_rng(0)
+        for center in rng.uniform(0.4, 0.6, size=(24, 2)):
+            u = TripleJunction(center=tuple(center)).profiles(spec, eps)
+            angles, junction = measure_junction_angles(PhaseField(spec, u), tuple(center))
+            offset = junction - center
+            offset -= np.round(offset)
+            assert np.allclose(angles, 120.0, atol=3.0), (center, angles)
+            assert np.max(np.abs(offset)) <= 0.25 * spec.h, (center, junction)
+
+    def test_two_phase_state_rejected(self):
+        with pytest.raises(InputError):
+            measure_junction_angles(disk_state(64), (0.5, 0.5))

@@ -16,6 +16,7 @@ from mpfc.dynamics import (
     constraint_violation,
     dissipation_rate,
     explicit_dt_limit,
+    flow,
     max_neighbor_jump,
     project_constraint,
     rhs,
@@ -57,6 +58,15 @@ class TestChemicalPotential:
             errs.append(np.max(np.abs(chemical_potential(f, eps).values)))
         diff_ratio = (errs[0] - errs[1]) / (errs[1] - errs[2])
         assert 3.0 <= diff_ratio <= 5.0
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_flow_carries_the_same_chemical_potential(self, kind):
+        eps = 1.0 / 16.0
+        state = random_smooth_state(GridSpec(2, 64), 3, seed=7)
+        mu = flow(state, ModelSpec(kind, eps, 3)).mu
+        for i in range(3):
+            expected = chemical_potential(ScalarField(state.spec, state.values[i]), eps).values
+            assert np.all(mu[i] == expected)
 
 
 class TestMultiplier:
