@@ -96,30 +96,20 @@ class KernelSpec:
         return max(1, math.ceil(math.sqrt(4.0 * tau * 40.3)))
 
 
-def _axis_image_sums(
-    coords: np.ndarray, y: float, tau: float, radius: int, with_derivative: bool = False
-):
-    """1D lattice sums S(x) = sum_k exp(-(delta+k)^2/(4 tau)) and optionally S'."""
-    delta = coords - y
-    delta -= np.round(delta)  # wrap to [-1/2, 1/2); keeps the sum shift invariant
-    offsets = np.arange(-radius, radius + 1)
-    z = delta[:, None] + offsets[None, :]
+def _axis_image_sums(coords: np.ndarray, y: float, tau: float, radius: int):
+    """1D lattice sums S(x) = sum_k exp(-(delta+k)^2/(4 tau)) and S'."""
+    delta = g.torus_delta(coords, y)  # wrap to [-1/2, 1/2]; keeps the sum shift invariant
+    z = delta[:, None] + np.arange(-radius, radius + 1)[None, :]
     e = np.exp(-(z * z) / (4.0 * tau))
-    s = e.sum(axis=1)
-    if not with_derivative:
-        return s, None
-    ds = (e * (-z / (2.0 * tau))).sum(axis=1)
-    return s, ds
+    return e.sum(axis=1), (e * (-z / (2.0 * tau))).sum(axis=1)
 
 
 def backward_heat_kernel(x, t: float, spec: KernelSpec) -> float:
     """Evaluate the periodized backward heat kernel at one point."""
     x = np.asarray(x, dtype=np.float64)
     d = x.size
-    tau = spec.terminal_s - t
-    if tau <= 0:
-        raise InputError(f"kernel requires t < s, got t={t}, s={spec.terminal_s}")
     radius = spec.truncation_for(t)
+    tau = spec.terminal_s - t
     pref = (4.0 * np.pi * tau) ** (-(d - 1) / 2.0)
     value = pref
     for a in range(d):
@@ -137,15 +127,13 @@ def kernel_field(
     O(n^d K^d).
     """
     d = grid_spec.d
-    tau = spec.terminal_s - t
-    if tau <= 0:
-        raise InputError(f"kernel requires t < s, got t={t}, s={spec.terminal_s}")
     radius = spec.truncation_for(t)
+    tau = spec.terminal_s - t
     coords = np.arange(grid_spec.n) * grid_spec.h
     pref = (4.0 * np.pi * tau) ** (-(d - 1) / 2.0)
     sums, dsums = [], []
     for a in range(d):
-        s, ds = _axis_image_sums(coords, spec.center_y[a], tau, radius, with_derivative=True)
+        s, ds = _axis_image_sums(coords, spec.center_y[a], tau, radius)
         sums.append(s)
         dsums.append(ds)
 
@@ -166,14 +154,13 @@ def kernel_field(
 
 def _densities(state: PhaseField, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """SIGMA^{-1} sum_i of the energy and signed discrepancy densities, from one pass."""
-    energy, discrepancy = energy_densities(state, eps)
+    _, energy, discrepancy = energy_densities(state, eps)
     return SIGMA_INV * sum(energy), SIGMA_INV * sum(discrepancy)
 
 
 def gaussian_density(state: PhaseField, eps: float, spec: KernelSpec) -> float:
     """int rho(., t) d(mu_t) at the state's own time."""
-    rho, _ = kernel_field(state.spec, state.time, spec)
-    return g.integrate_raw(rho * _densities(state, eps)[0], state.spec.h, state.spec.d)
+    return mu_of_phi(state, eps, kernel_field(state.spec, state.time, spec)[0])
 
 
 @dataclass(frozen=True)
@@ -183,32 +170,11 @@ class MonotonicityTrace:
     times: np.ndarray
     gaussian_density: np.ndarray
     rhs_bound: np.ndarray                      # (1/(2(s-t))) int rho d(xi_t)
-    dissipation_term: np.ndarray | None        # the negative square term (with model)
     multiplier_cancellation: np.ndarray | None  # summed multiplier terms (sphere model)
     multiplier_scale: np.ndarray | None         # sum of |individual terms|
     fd_derivative: np.ndarray                  # centered d/dt at interior times
     fd_tolerance: np.ndarray                   # calibrated allowance per interior time
     interior_index: np.ndarray                 # indices of interior times in ``times``
-
-
-def _dissipation_term(
-    state: PhaseField, eps: float, du: np.ndarray, rho: np.ndarray, grad_rho: np.ndarray
-) -> float:
-    """-SIGMA^{-1} sum_i int eps rho (du_i/dt + grad u_i . grad rho / rho)^2 dx.
-
-    Expanded so no division by the (possibly underflowed) kernel happens where
-    it vanishes: rho q^2 + 2 q (grad u . grad rho) + (grad u . grad rho)^2/rho
-    with the last ratio guarded (it decays like rho |x|^2 anyway).
-    """
-    h, d = state.spec.h, state.spec.d
-    rho_safe = np.maximum(rho, 1e-300)
-    total = 0.0
-    for i in range(state.n_phases):
-        grads = g.gradient_raw(state.values[i], h)
-        cross = sum(grads[a] * grad_rho[a] for a in range(d))
-        integrand = rho * du[i] ** 2 + 2.0 * du[i] * cross + cross * cross / rho_safe
-        total += g.integrate_raw(integrand, h, d)
-    return -SIGMA_INV * eps * total
 
 
 def _multiplier_terms(state: PhaseField, fe: FlowEval, rho: np.ndarray, grad_rho: np.ndarray):
@@ -264,20 +230,17 @@ def monotonicity_check(
 
     G = np.empty(len(run))
     bound = np.empty(len(run))
-    square = np.empty(len(run)) if model is not None else None
-    cancel = np.empty(len(run)) if model is not None and model.kind == ModelKind.SPHERE_LL else None
-    scale = np.empty(len(run)) if cancel is not None else None
+    sphere = model is not None and model.kind == ModelKind.SPHERE_LL
+    cancel = np.empty(len(run)) if sphere else None
+    scale = np.empty(len(run)) if sphere else None
     for k, st in enumerate(run):
-        rho, grad_rho = kernel_field(st.spec, st.time, spec, with_gradient=model is not None)
+        rho, grad_rho = kernel_field(st.spec, st.time, spec, with_gradient=sphere)
         energy, discrepancy = _densities(st, eps)
         G[k] = g.integrate_raw(rho * energy, st.spec.h, st.spec.d)
         tau = spec.terminal_s - st.time
         bound[k] = g.integrate_raw(rho * discrepancy, st.spec.h, st.spec.d) / (2.0 * tau)
-        if model is not None:
-            fe = flow(st, model)
-            square[k] = _dissipation_term(st, model.eps, fe.rhs, rho, grad_rho)
-        if cancel is not None:
-            cancel[k], scale[k] = _multiplier_terms(st, fe, rho, grad_rho)
+        if sphere:
+            cancel[k], scale[k] = _multiplier_terms(st, flow(st, model), rho, grad_rho)
 
     interior = np.arange(1, len(run) - 1)
     fd = (G[interior + 1] - G[interior - 1]) / (2.0 * dt)
@@ -299,7 +262,6 @@ def monotonicity_check(
         times=times,
         gaussian_density=G,
         rhs_bound=bound,
-        dissipation_term=square,
         multiplier_cancellation=cancel,
         multiplier_scale=scale,
         fd_derivative=fd,
@@ -334,7 +296,7 @@ def brakke_rhs_integrand(
     value = 0.0
     dphi = np.asarray(dphi_dt_values)
     if dphi.ndim > 0 or dphi != 0.0:
-        value += g.integrate_raw(dphi * _densities(state, eps)[0], h, d)
+        value += mu_of_phi(state, eps, dphi)
     value -= SIGMA_INV * eps * g.integrate_raw(phi_values * np.sum(rhs_values * rhs_values, axis=0), h, d)
     cross = np.zeros(state.spec.shape)
     for i in range(state.n_phases):

@@ -35,7 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as g
-from .dynamics import ModelSpec, PhaseField, constraint_violation, flow, rhs
+from .dynamics import (
+    ModelSpec,
+    PhaseField,
+    constraint_violation,
+    dissipation_rate,
+    flow,
+    rhs,
+)
 from .errors import InputError
 from .grid import ScalarField, VectorField
 from .potential import SIGMA, double_well, sqrt_double_well
@@ -75,27 +82,24 @@ class MeasureSample:
     overshoot: float                   # max distance of any value outside [0, 1]
 
 
-def phase_energy_densities(state: PhaseField) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (grad_sq, well) densities, each shaped like ``state.values``.
-
-    grad_sq is ``grid.grad_dot_raw(u_i, u_i)`` per phase; every energy-type
-    density of the package (energy, discrepancy, BV, weighted balances) is
-    built from this one pass.
-    """
+def _grad_sq(state: PhaseField) -> np.ndarray:
+    """Stacked ``grid.grad_dot_raw(u_i, u_i)``, the squared-gradient density per phase."""
     h = state.spec.h
-    grad_sq = np.stack([g.grad_dot_raw(ui, ui, h) for ui in state.values])
-    return grad_sq, double_well(state.values)
+    return np.stack([g.grad_dot_raw(ui, ui, h) for ui in state.values])
 
 
-def _split_densities(grad_sq: np.ndarray, well: np.ndarray, eps: float):
+def energy_densities(
+    state: PhaseField, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (grad_sq, energy, discrepancy) densities, before the SIGMA^{-1} factor.
+
+    Every energy-type density of the package (energy, discrepancy, BV,
+    weighted balances, Gaussian density) is built from this one pass.
+    """
+    grad_sq = _grad_sq(state)
     gradient = 0.5 * eps * grad_sq
-    potential = well / eps
-    return gradient + potential, gradient - potential
-
-
-def energy_densities(state: PhaseField, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-phase energy and signed discrepancy densities, before the SIGMA^{-1} factor."""
-    return _split_densities(*phase_energy_densities(state), eps)
+    potential = double_well(state.values) / eps
+    return grad_sq, gradient + potential, gradient - potential
 
 
 def _integrate_phases(
@@ -118,7 +122,7 @@ def energy_measure(
     state: PhaseField, eps: float, test_fn: ScalarField | None = None
 ) -> np.ndarray:
     """Per-phase diffuse surface energy, optionally weighted by a test function."""
-    return _integrate_phases(state, energy_densities(state, eps)[0], test_fn)
+    return _integrate_phases(state, energy_densities(state, eps)[1], test_fn)
 
 
 def discrepancy_measure(
@@ -128,7 +132,7 @@ def discrepancy_measure(
     signed: bool = True,
 ) -> np.ndarray:
     """Per-phase gradient-minus-potential discrepancy (signed or absolute)."""
-    dens = energy_densities(state, eps)[1]
+    dens = energy_densities(state, eps)[2]
     return _integrate_phases(state, dens if signed else np.abs(dens), test_fn)
 
 
@@ -138,7 +142,7 @@ def bv_proxy(state: PhaseField) -> np.ndarray:
     |grad u| is the square root of the energy's gradient density, so AM-GM,
     eps a^2/2 + W/eps >= a sqrt(2W), gives bv_i <= energy_i cell by cell.
     """
-    return _integrate_phases(state, _bv_density(state, phase_energy_densities(state)[0]))
+    return _integrate_phases(state, _bv_density(state, _grad_sq(state)))
 
 
 def energy_bv_gap(sample: MeasureSample) -> float:
@@ -151,18 +155,13 @@ def measure_sample(
 ) -> MeasureSample:
     """All scalar diagnostics of a state in one record.
 
-    The dissipation rate uses du/dt from the flow itself (``rhs``), not from
-    snapshot differencing, so it matches the continuum identities without
-    time-step noise.
+    The dissipation rate is ``dynamics.dissipation_rate`` with du/dt from the
+    flow itself, not from snapshot differencing, so it is the rate that
+    ``run_simulation`` integrates into D(t).
     """
-    eps = model.eps
-    if rhs_values is None:
-        rhs_values = rhs(state, model)
     h, d = state.spec.h, state.spec.d
-    grad_sq, well = phase_energy_densities(state)
-    energy_dens, disc_dens = _split_densities(grad_sq, well, eps)
+    grad_sq, energy_dens, disc_dens = energy_densities(state, model.eps)
     energy = _integrate_phases(state, energy_dens)
-    rate = SIGMA_INV * eps * g.integrate_raw(rhs_values * rhs_values, h, d)
     volumes = np.array([g.integrate_raw(state.values[i], h, d) for i in range(state.n_phases)])
     return MeasureSample(
         time=state.time,
@@ -171,7 +170,7 @@ def measure_sample(
         discrepancy_per_phase=_integrate_phases(state, disc_dens),
         discrepancy_abs=float(np.sum(_integrate_phases(state, np.abs(disc_dens)))),
         bv_proxy_per_phase=_integrate_phases(state, _bv_density(state, grad_sq)),
-        dissipation_rate=rate,
+        dissipation_rate=dissipation_rate(state, model, rhs_values),
         constraint_drift=constraint_violation(state, model),
         phase_volumes=volumes,
         phase_sup=np.max(state.values.reshape(state.n_phases, -1), axis=1),
@@ -270,8 +269,7 @@ def mean_curvature_proxy(
         grads = g.gradient_raw(state.values[i], h)
         for a in range(d):
             comps[a] += SIGMA_INV * eps * du[i] * grads[a]
-    bound = SIGMA_INV * eps * g.integrate_raw(du * du, h, d)
-    return VectorField(spec, np.stack(comps)), bound
+    return VectorField(spec, np.stack(comps)), dissipation_rate(state, model, du)
 
 
 def _bilinear_periodic(values: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
@@ -350,10 +348,8 @@ def measure_junction_angles(
         annulus = (5 * h, 15 * h)
 
     X, Y = state.spec.meshgrid()
-    dx = X - center_hint[0]
-    dx -= np.round(dx)
-    dy = Y - center_hint[1]
-    dy -= np.round(dy)
+    dx = g.torus_delta(X, center_hint[0])
+    dy = g.torus_delta(Y, center_hint[1])
     near = dx * dx + dy * dy <= search_radius**2
     ranked = np.sort(state.values, axis=0)
     masked = np.where(near, ranked[-1] - ranked[-3], np.inf)

@@ -117,7 +117,13 @@ class VectorField:
 
 
 # Raw-array kernels.  The axes of a scalar array are the grid axes; stacked
-# arrays (N phases or d components first) pass axis_offset=1.
+# arrays (N phases first) pass axis_offset=1 where a kernel accepts it.
+
+
+def torus_delta(x: np.ndarray, c) -> np.ndarray:
+    """Minimum-image displacement x - c on the unit torus, in [-1/2, 1/2]."""
+    d = x - c
+    return d - np.round(d)
 
 
 def laplacian_raw(a: np.ndarray, h: float, axis_offset: int = 0) -> np.ndarray:
@@ -130,13 +136,9 @@ def laplacian_raw(a: np.ndarray, h: float, axis_offset: int = 0) -> np.ndarray:
     return out
 
 
-def gradient_raw(a: np.ndarray, h: float, axis_offset: int = 0) -> list[np.ndarray]:
-    d = a.ndim - axis_offset
+def gradient_raw(a: np.ndarray, h: float) -> list[np.ndarray]:
     inv = 1.0 / (2.0 * h)
-    return [
-        (np.roll(a, -1, axis=ax) - np.roll(a, 1, axis=ax)) * inv
-        for ax in range(axis_offset, axis_offset + d)
-    ]
+    return [(np.roll(a, -1, axis=ax) - np.roll(a, 1, axis=ax)) * inv for ax in range(a.ndim)]
 
 
 def grad_dot_raw(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:

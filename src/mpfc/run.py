@@ -9,9 +9,10 @@ running dissipation integral
 accumulated with a per-step trapezoid of the flow's dissipation rate, so the
 discrete energy balance  E(t) - E(0) + D(t) ~ 0  can be checked at any sample
 without re-simulation.  Optional phi-weighted balance series stream the same
-accumulation for arbitrary nonnegative test functions; the built-in series
-``"one"`` reuses the dissipation accumulator itself, which makes the
-phi == 1 balance residual equal to the energy balance residual by
+accumulation for arbitrary nonnegative test functions.  The built-in series
+``"one"`` goes through the same accumulator with integrand -rate and
+int phi dmu = the sampled total energy, and D(t) is minus its cumulative, so
+the phi == 1 balance residual equals the energy balance residual by
 construction.
 
 Everything recorded is a deterministic function of the scenario: fixed
@@ -128,22 +129,20 @@ def run_simulation(
     if "one" in phis:
         raise ValueError('the Brakke series name "one" is reserved')
     phi_vals = {name: (p.values, None if dp is None else dp.values) for name, (p, dp) in phis.items()}
+    names = ["one", *phi_vals]
 
     samples: list[MeasureSample] = []
     states: list[PhaseField] = [] if keep_states else None
     snapshot_paths: list[tuple[float, Path]] = []
-    dissipated_at_sample: list[float] = []
-    mu_phi_at_sample: dict[str, list[float]] = {name: [] for name in phis}
-    rhs_cum_at_sample: dict[str, list[float]] = {name: [] for name in phis}
+    mu_phi_at_sample: dict[str, list[float]] = {name: [] for name in names}
+    rhs_cum_at_sample: dict[str, list[float]] = {name: [] for name in names}
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    dissipated = 0.0
-    rhs_cum = {name: 0.0 for name in phis}
-    prev_rate: float | None = None
-    prev_integrand: dict[str, float] = {}
+    rhs_cum = {name: 0.0 for name in names}
+    prev_integrand: dict[str, float] | None = None
     last_snapshot: PhaseField = state
 
     # L1 drift bookkeeping for the Hoelder-continuity report.
@@ -161,22 +160,23 @@ def run_simulation(
     try:
         for step_index in range(n_steps + 1):
             fe = flow(state, model)
-            rate = dissipation_rate(state, model, fe.rhs)
-            integrand = {
-                name: brakke_rhs_integrand(state, model, pv, dv if dv is not None else 0.0, fe.rhs)
-                for name, (pv, dv) in phi_vals.items()
-            }
-            if prev_rate is not None:
-                dissipated += dt * 0.5 * (prev_rate + rate)
-                for name in phis:
+            integrand = {"one": -dissipation_rate(state, model, fe.rhs)}
+            for name, (pv, dv) in phi_vals.items():
+                integrand[name] = brakke_rhs_integrand(
+                    state, model, pv, dv if dv is not None else 0.0, fe.rhs
+                )
+            if prev_integrand is not None:
+                for name in names:
                     rhs_cum[name] += dt * 0.5 * (prev_integrand[name] + integrand[name])
-            prev_rate, prev_integrand = rate, integrand
+            prev_integrand = integrand
 
             if step_index in sample_set:
-                samples.append(measure_sample(state, model, fe.rhs))
-                dissipated_at_sample.append(dissipated)
+                sample = measure_sample(state, model, fe.rhs)
+                samples.append(sample)
+                mu_phi_at_sample["one"].append(sample.energy_total)
                 for name, (pv, _) in phi_vals.items():
                     mu_phi_at_sample[name].append(mu_of_phi(state, model.eps, pv))
+                for name in names:
                     rhs_cum_at_sample[name].append(rhs_cum[name])
                 if states is not None:
                     states.append(state)
@@ -208,24 +208,23 @@ def run_simulation(
             time=state.time,
         ) from exc
 
-    record = RunRecord(
-        scenario=scenario,
-        samples=samples,
-        sample_steps=np.asarray(sample_steps),
-        dissipated=np.asarray(dissipated_at_sample),
-        states=states,
-        snapshot_paths=snapshot_paths,
-    )
-    energy = record.energy_totals
-    record.brakke["one"] = BrakkeSeries(
-        "one", mu_phi=energy.copy(), rhs_cumulative=-record.dissipated
-    )
-    for name in phis:
-        record.brakke[name] = BrakkeSeries(
+    brakke = {
+        name: BrakkeSeries(
             name,
             mu_phi=np.asarray(mu_phi_at_sample[name]),
             rhs_cumulative=np.asarray(rhs_cum_at_sample[name]),
         )
+        for name in names
+    }
+    record = RunRecord(
+        scenario=scenario,
+        samples=samples,
+        sample_steps=np.asarray(sample_steps),
+        dissipated=-brakke["one"].rhs_cumulative,
+        brakke=brakke,
+        states=states,
+        snapshot_paths=snapshot_paths,
+    )
     if holder_pairs:
         ratios = [dist / np.sqrt(dtp) for dtp, dist in holder_pairs if dtp > 0]
         record.holder = {"holder_constant": float(np.max(ratios)), "n_pairs": len(ratios)}

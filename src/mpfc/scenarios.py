@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSpec, PhaseField, project_constraint
+from .dynamics import ModelKind, ModelSpec, PhaseField, project_constraint
+from .diagnostics import energy_measure
 from .errors import ScenarioError
-from .grid import GridSpec
+from .grid import GridSpec, torus_delta
 from .potential import optimal_profile
 
 __all__ = [
@@ -43,11 +44,6 @@ __all__ = [
     "Scenario",
     "build_scenario",
 ]
-
-
-def _torus_delta(x: np.ndarray, c: float) -> np.ndarray:
-    d = x - c
-    return d - np.round(d)
 
 
 def _periodic_slab(x: np.ndarray, lo: float, hi: float, eps: float) -> np.ndarray:
@@ -134,7 +130,7 @@ class Disk:
         axes = spec.meshgrid()
         if len(self.center) != spec.d:
             raise ScenarioError("disk center dimension does not match the grid")
-        rho = np.sqrt(sum(_torus_delta(axes[a], self.center[a]) ** 2 for a in range(spec.d)))
+        rho = np.sqrt(sum(torus_delta(axes[a], self.center[a]) ** 2 for a in range(spec.d)))
         return optimal_profile(self.radius - rho, eps)
 
     def interface_length(self) -> float:
@@ -154,10 +150,7 @@ class TwoDisks:
         for r in self.radii:
             if not 3 * eps < r < 0.5 - 3 * eps:
                 raise ScenarioError(f"disk radius {r} outside (3 eps, 0.5 - 3 eps)")
-        c0 = np.asarray(self.centers[0])
-        c1 = np.asarray(self.centers[1])
-        delta = c0 - c1
-        delta -= np.round(delta)
+        delta = torus_delta(np.asarray(self.centers[0]), np.asarray(self.centers[1]))
         gap = float(np.linalg.norm(delta)) - self.radii[0] - self.radii[1]
         if gap < 6 * eps:
             raise ScenarioError(f"two-disk interface gap {gap:.4f} is below 6 eps")
@@ -166,7 +159,7 @@ class TwoDisks:
         axes = spec.meshgrid()
         u = np.zeros(spec.shape)
         for c, r in zip(self.centers, self.radii):
-            rho = np.sqrt(sum(_torus_delta(axes[a], c[a]) ** 2 for a in range(spec.d)))
+            rho = np.sqrt(sum(torus_delta(axes[a], c[a]) ** 2 for a in range(spec.d)))
             u += optimal_profile(r - rho, eps)
         return u
 
@@ -255,7 +248,7 @@ class TripleJunction:
             raise ScenarioError("triple junction geometry requires d = 2")
         axes = spec.meshgrid()
         p = np.stack(
-            [_torus_delta(axes[0], self.center[0]), _torus_delta(axes[1], self.center[1])],
+            [torus_delta(axes[0], self.center[0]), torus_delta(axes[1], self.center[1])],
             axis=-1,
         )
         polys = self._polygons()
@@ -343,9 +336,7 @@ def build_scenario(scenario: Scenario) -> PhaseField:
     state = project_constraint(state, model, max_violation=np.inf)
 
     target = geom.interface_length()
-    if target is not None and model.kind.value != "SphereLL":
-        from .diagnostics import energy_measure
-
+    if target is not None and model.kind != ModelKind.SPHERE_LL:
         total = float(np.sum(energy_measure(state, eps)))
         expected = 2.0 * target
         if abs(total - expected) > 0.1 * expected:

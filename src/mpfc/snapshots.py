@@ -11,8 +11,9 @@ Snapshot format (self-describing, parseable from any language):
 
 Floats in the header are printed with 17 significant digits, so write/read
 round-trips are exact.  Readers reject wrong magic, unknown or missing header
-keys, payload size mismatches, and trailing bytes, and never return a partial
-state.
+keys, header values the grid, model or state would refuse, non-finite
+payload values, payload size mismatches, and trailing bytes, and never return
+a partial state.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import energy_bv_gap
 from .dynamics import ModelKind, ModelSpec, PhaseField
 from .errors import SnapshotFormatError
 from .grid import GridSpec
@@ -90,10 +92,13 @@ def read_snapshot(path: str | os.PathLike) -> tuple[PhaseField, ModelSpec]:
         raise SnapshotFormatError(
             f"{path}: payload has {len(payload)} bytes, expected {expected}"
         )
-    values = np.frombuffer(payload, dtype="<f8").reshape((n_phases,) + (n,) * d)
-    spec = GridSpec(d, n)
-    state = PhaseField(spec, values.astype(np.float64), time=time)
-    return state, ModelSpec(kind, eps, n_phases)
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    try:
+        spec = GridSpec(d, n)
+        state = PhaseField(spec, values.reshape((n_phases,) + spec.shape), time=time)
+        return state, ModelSpec(kind, eps, n_phases)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: invalid snapshot ({exc})") from exc
 
 
 def timeseries_header(n_phases: int) -> list[str]:
@@ -108,8 +113,6 @@ def timeseries_header(n_phases: int) -> list[str]:
 
 def emit_timeseries(record, path: str | os.PathLike) -> None:
     """Write the per-sample diagnostics of a run as CSV with 17-digit floats."""
-    from .diagnostics import energy_bv_gap  # record holds MeasureSample rows
-
     samples = record.samples
     if not samples:
         raise ValueError("cannot emit a time series for an empty record")

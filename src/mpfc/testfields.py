@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField
+from .grid import GridSpec, ScalarField, VectorField, torus_delta
 
 __all__ = [
     "bump_field",
@@ -21,11 +21,7 @@ __all__ = [
 
 def _torus_radius(spec: GridSpec, center) -> tuple[np.ndarray, list[np.ndarray]]:
     axes = spec.meshgrid()
-    deltas = []
-    for a in range(spec.d):
-        delta = axes[a] - center[a]
-        delta -= np.round(delta)
-        deltas.append(delta)
+    deltas = [torus_delta(axes[a], center[a]) for a in range(spec.d)]
     rho = np.sqrt(sum(d * d for d in deltas))
     return rho, deltas
 

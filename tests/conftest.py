@@ -70,6 +70,20 @@ def projected_sphere_state(n: int = 64, eps: float = 0.0625, seed: int = 0) -> t
     return project_constraint(st, model, max_violation=np.inf), model
 
 
+def write_raw_snapshot(path, values: np.ndarray | None = None, **header) -> None:
+    """Write snapshot bytes by hand, so header and payload can disagree with the types.
+
+    The header defaults to a 2-phase MeanShift state on a 16^2 grid; ``header``
+    overrides single keys (as text) and ``values`` replaces the zero payload.
+    """
+    fields = {"d": "2", "n": "16", "N": "2", "eps": "0.25", "time": "0", "model": "MeanShift"}
+    fields.update(header)
+    if values is None:
+        values = np.zeros(int(fields["N"]) * int(fields["n"]) ** int(fields["d"]))
+    text = "".join(f"{k}={v}\n" for k, v in fields.items())
+    path.write_bytes(b"MPFC0001\n" + text.encode("ascii") + b"\n" + values.astype("<f8").tobytes())
+
+
 def constant_field(spec: GridSpec, value: float) -> ScalarField:
     return ScalarField.constant(spec, value)
 

@@ -1,5 +1,7 @@
 """Backward heat kernel, Gaussian density, monotonicity, weighted balance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,32 @@ class TestMonotonicityCheck:
         trace, verdict = monotonicity_check(states, eps, kspec, model=model)
         assert verdict
 
+    def test_sum_model_evaluates_no_flow(self, monkeypatch):
+        # Only the sphere model's multiplier terms need du/dt; for the others
+        # the model adds nothing to the trace, so no flow is evaluated.
+        import mpfc.analysis
+
+        n = 64
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 4.0 / n, 2)
+        spec = GridSpec(2, n)
+        scn = Scenario(
+            geometry=Disk(radius=0.3), model=model, grid=spec,
+            dt=spec.h**2, t_end=16 * spec.h**2, snapshot_every=4,
+        )
+        states = run_simulation(scn, keep_states=True).states
+        kspec = KernelSpec(center_y=(0.5, 0.5), terminal_s=0.05)
+        plain, plain_verdict = monotonicity_check(states, model.eps, kspec)
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("monotonicity_check evaluated the flow")
+
+        monkeypatch.setattr(mpfc.analysis, "flow", no_flow)
+        trace, verdict = monotonicity_check(states, model.eps, kspec, model=model)
+        assert verdict == plain_verdict
+        for f in dataclasses.fields(trace):
+            a, b = getattr(trace, f.name), getattr(plain, f.name)
+            assert (a is None and b is None) or np.array_equal(a, b), f.name
+
     def test_sphere_multiplier_cancellation(self):
         from conftest import projected_sphere_state
 
@@ -236,6 +264,20 @@ class TestBrakkeResidual:
         lhs = rec.brakke["one"].residuals()
         rhs_series = np.diff(rec.energy_totals) + np.diff(rec.dissipated)
         assert np.array_equal(lhs, rhs_series)
+
+    def test_run_record_one_series_is_the_energy_balance(self):
+        n = 64
+        model = ModelSpec(ModelKind.WEIGHTED_SUM, 4.0 / n, 2)
+        spec = GridSpec(2, n)
+        scn = Scenario(
+            geometry=Disk(radius=0.3), model=model, grid=spec,
+            dt=spec.h**2, t_end=32 * spec.h**2, snapshot_every=4,
+        )
+        rec = run_simulation(scn, brakke_phis={"bump": (bump_field(spec), None)})
+        one = rec.brakke["one"]
+        assert list(rec.brakke) == ["one", "bump"]
+        assert np.all(one.mu_phi == rec.energy_totals)
+        assert np.all(rec.dissipated == -one.rhs_cumulative)
 
     def test_mu_of_phi_matches_weighted_energy(self):
         n, eps = 128, 1.0 / 16.0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import write_raw_snapshot
 from mpfc.cli import main, parse_config
 from mpfc.errors import ConfigurationError
 from mpfc.scenarios import Disk, TripleJunction
@@ -93,6 +94,12 @@ class TestSubcommands:
         assert main(["diagnose", str(snap), "--test-field", "radial"]) == 0
         out = capsys.readouterr().out
         assert "kinetic form" in out
+
+    def test_diagnose_invalid_snapshot_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.mpfc"
+        write_raw_snapshot(path, eps="2")
+        assert main(["diagnose", str(path)]) == 1
+        assert "invalid snapshot" in capsys.readouterr().err
 
     def test_diagnose_unknown_field_exit_2(self, run_dir):
         snap = sorted(run_dir.glob("snap_*.mpfc"))[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mpfc.dynamics import ModelKind, ModelSpec
+from mpfc.dynamics import ModelKind, ModelSpec, dissipation_rate
 from mpfc.errors import ConfigurationError, ScenarioError
 from mpfc.grid import GridSpec
 from mpfc.run import load_run_states, run_simulation
@@ -89,6 +89,20 @@ class TestRunSimulation:
         assert len(states) == len(rec.samples)
         assert model.kind == ModelKind.MEAN_SHIFT
         assert states[0].time == 0.0
+
+    def test_csv_rate_is_the_integrated_rate(self, tmp_path):
+        # The CSV reports the same rate, to the bit, that D(t) integrates.
+        n = 128
+        scn = disk_scenario(
+            n=n, t_end=64 / n**2, kind=ModelKind.SPHERE_LL, n_phases=3, snapshot_every=4
+        )
+        rec = run_simulation(scn, keep_states=True, out_dir=tmp_path)
+        lines = (tmp_path / "timeseries.csv").read_text().splitlines()
+        col = lines[0].split(",").index("dissipation_rate")
+        csv_rates = [float(line.split(",")[col]) for line in lines[1:]]
+        assert len(csv_rates) == len(rec.states) == 17
+        for rate, state in zip(csv_rates, rec.states):
+            assert rate == dissipation_rate(state, scn.model)
 
     def test_keep_states(self):
         rec = run_simulation(disk_scenario(t_end=0.002), keep_states=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import disk_state
+from conftest import disk_state, write_raw_snapshot
 from mpfc.dynamics import ModelKind, ModelSpec, PhaseField
 from mpfc.errors import SnapshotFormatError
 from mpfc.grid import GridSpec
@@ -97,6 +97,34 @@ class TestSnapshotRoundTrip:
         raw = path.read_bytes()
         head, _, tail = raw.partition(b"\n\n")
         path.write_bytes(head + b"\nextra=1\n\n" + tail)
+        with pytest.raises(SnapshotFormatError):
+            read_snapshot(path)
+
+    def test_hand_written_snapshot_reads(self, tmp_path):
+        path = tmp_path / "ok.mpfc"
+        write_raw_snapshot(path)
+        state, model = read_snapshot(path)
+        assert state.values.shape == (2, 16, 16)
+        assert model == ModelSpec(ModelKind.MEAN_SHIFT, 0.25, 2)
+
+    @pytest.mark.parametrize(
+        "header",
+        [{"eps": "2"}, {"n": "4"}, {"N": "1"}, {"d": "1"}],
+        ids=["eps=2", "n=4", "N=1", "d=1"],
+    )
+    def test_header_value_the_types_reject(self, tmp_path, header):
+        # The payload size matches the header, so only the grid, model or
+        # state constructor can object; that must still be a format error.
+        path = tmp_path / "bad.mpfc"
+        write_raw_snapshot(path, **header)
+        with pytest.raises(SnapshotFormatError):
+            read_snapshot(path)
+
+    def test_nan_payload_rejected(self, tmp_path):
+        values = np.zeros(2 * 16 * 16)
+        values[37] = np.nan
+        path = tmp_path / "nan.mpfc"
+        write_raw_snapshot(path, values)
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
 
