@@ -33,7 +33,6 @@ from .dynamics import (
     chemical_potential,
     compute_multiplier,
     project_constraint,
-    rhs,
     step,
 )
 from .errors import (

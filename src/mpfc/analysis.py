@@ -52,7 +52,7 @@ import numpy as np
 
 from . import grid as g
 from .diagnostics import energy_densities
-from .dynamics import FlowEval, ModelKind, ModelSpec, PhaseField, flow, rhs
+from .dynamics import FlowEval, ModelKind, ModelSpec, PhaseField, flow
 from .errors import InputError
 from .grid import GridSpec, ScalarField
 from .potential import SIGMA
@@ -220,7 +220,7 @@ def monotonicity_check(
         raise InputError("monotonicity_check needs at least 3 snapshots")
     times = np.array([st.time for st in run])
     dts = np.diff(times)
-    if np.any(dts <= 0):
+    if not np.all(dts > 0):
         raise InputError("snapshot times must be strictly increasing")
     if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
         raise InputError("monotonicity_check needs uniformly spaced snapshots")
@@ -279,28 +279,28 @@ def mu_of_phi(state: PhaseField, eps: float, phi_values: np.ndarray) -> float:
 def brakke_rhs_integrand(
     state: PhaseField,
     model: ModelSpec,
+    fe: FlowEval,
     phi_values: np.ndarray,
     dphi_dt_values: np.ndarray | float = 0.0,
-    rhs_values: np.ndarray | None = None,
 ) -> float:
     """The instantaneous right-hand side of the phi-weighted energy balance.
 
-    The cross term pairs du_i/dt with X_i = ``grid.grad_dot_raw(phi, u_i)``,
-    which makes this the exact time derivative of ``mu_of_phi`` along the
-    semi-discrete flow.
+    ``fe`` is ``dynamics.flow(state, model)``; its du/dt enters both the
+    dissipation and the cross term.  The cross term pairs du_i/dt with
+    X_i = ``grid.grad_dot_raw(phi, u_i)``, which makes this the exact time
+    derivative of ``mu_of_phi`` along the semi-discrete flow.
     """
     h, d = state.spec.h, state.spec.d
     eps = model.eps
-    if rhs_values is None:
-        rhs_values = rhs(state, model)
+    du = fe.rhs
     value = 0.0
     dphi = np.asarray(dphi_dt_values)
     if dphi.ndim > 0 or dphi != 0.0:
         value += mu_of_phi(state, eps, dphi)
-    value -= SIGMA_INV * eps * g.integrate_raw(phi_values * np.sum(rhs_values * rhs_values, axis=0), h, d)
+    value -= SIGMA_INV * eps * g.integrate_raw(phi_values * np.sum(du * du, axis=0), h, d)
     cross = np.zeros(state.spec.shape)
     for i in range(state.n_phases):
-        cross += rhs_values[i] * g.grad_dot_raw(phi_values, state.values[i], h)
+        cross += du[i] * g.grad_dot_raw(phi_values, state.values[i], h)
     value -= SIGMA_INV * eps * g.integrate_raw(cross, h, d)
     return value
 
@@ -316,13 +316,17 @@ def brakke_residual(
 
     For each snapshot interval the left side is the increment of
     int phi d(mu_t) and the right side is the trapezoid-in-time integral of
-    ``brakke_rhs_integrand`` with du/dt taken from the flow.  A static phi
-    may be passed once; a space-time phi as per-snapshot fields together with
-    its time derivative.
+    ``brakke_rhs_integrand`` with du/dt from one ``flow`` per snapshot.  A
+    static phi may be passed once; a space-time phi as per-snapshot fields
+    together with its time derivative.
     """
     if len(run) < 2:
         raise InputError("brakke_residual needs at least 2 snapshots")
     n_snap = len(run)
+    times = np.array([st.time for st in run])
+    dts = np.diff(times)
+    if not np.all(dts > 0):
+        raise InputError("snapshot times must be strictly increasing")
 
     def as_list(f, name):
         if f is None:
@@ -345,11 +349,7 @@ def brakke_residual(
         pv = phis[k].values
         lhs[k] = mu_of_phi(st, eps, pv)
         dv = dphis[k].values if dphis[k] is not None else 0.0
-        integrand[k] = brakke_rhs_integrand(st, model, pv, dv)
+        integrand[k] = brakke_rhs_integrand(st, model, flow(st, model), pv, dv)
 
-    times = np.array([st.time for st in run])
-    dts = np.diff(times)
-    if np.any(dts <= 0):
-        raise InputError("snapshot times must be strictly increasing")
     rhs_int = 0.5 * dts * (integrand[:-1] + integrand[1:])
     return np.diff(lhs) - rhs_int

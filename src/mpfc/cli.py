@@ -201,7 +201,7 @@ def _cmd_diagnose(args) -> int:
     print(f"discrepancy (abs): {sample.discrepancy_abs:.6g}")
     print(f"bv proxy         : {np.array2string(sample.bv_proxy_per_phase, precision=6)}")
     print(f"energy-bv gap    : {energy_bv_gap(sample):.6g}")
-    print(f"dissipation rate : {sample.dissipation_rate:.6g}")
+    print(f"dissipation rate : {dissipation_rate(state, model):.6g}")
     print(f"constraint drift : {sample.constraint_drift:.3e}")
     print(f"overshoot        : {sample.overshoot:.3e}")
 

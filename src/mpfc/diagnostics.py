@@ -35,14 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as g
-from .dynamics import (
-    ModelSpec,
-    PhaseField,
-    constraint_violation,
-    dissipation_rate,
-    flow,
-    rhs,
-)
+from .dynamics import ModelSpec, PhaseField, constraint_violation, flow
 from .errors import InputError
 from .grid import ScalarField, VectorField
 from .potential import SIGMA, double_well, sqrt_double_well
@@ -75,7 +68,6 @@ class MeasureSample:
     discrepancy_per_phase: np.ndarray  # signed
     discrepancy_abs: float             # sum_i of the absolute variants
     bv_proxy_per_phase: np.ndarray
-    dissipation_rate: float
     constraint_drift: float
     phase_volumes: np.ndarray
     phase_sup: np.ndarray
@@ -150,14 +142,11 @@ def energy_bv_gap(sample: MeasureSample) -> float:
     return sample.energy_total - float(np.sum(sample.bv_proxy_per_phase))
 
 
-def measure_sample(
-    state: PhaseField, model: ModelSpec, rhs_values: np.ndarray | None = None
-) -> MeasureSample:
-    """All scalar diagnostics of a state in one record.
+def measure_sample(state: PhaseField, model: ModelSpec) -> MeasureSample:
+    """All scalar diagnostics that depend on the state alone, in one record.
 
-    The dissipation rate is ``dynamics.dissipation_rate`` with du/dt from the
-    flow itself, not from snapshot differencing, so it is the rate that
-    ``run_simulation`` integrates into D(t).
+    It evaluates no flow: the dissipation rate is the ``rate`` of
+    ``dynamics.flow`` and ``run_simulation`` records it with each sample.
     """
     h, d = state.spec.h, state.spec.d
     grad_sq, energy_dens, disc_dens = energy_densities(state, model.eps)
@@ -170,7 +159,6 @@ def measure_sample(
         discrepancy_per_phase=_integrate_phases(state, disc_dens),
         discrepancy_abs=float(np.sum(_integrate_phases(state, np.abs(disc_dens)))),
         bv_proxy_per_phase=_integrate_phases(state, _bv_density(state, grad_sq)),
-        dissipation_rate=dissipation_rate(state, model, rhs_values),
         constraint_drift=constraint_violation(state, model),
         phase_volumes=volumes,
         phase_sup=np.max(state.values.reshape(state.n_phases, -1), axis=1),
@@ -263,13 +251,13 @@ def mean_curvature_proxy(
     spec = state.spec
     h, d = spec.h, spec.d
     eps = model.eps
-    du = rhs(state, model)
+    fe = flow(state, model)
     comps = [np.zeros(spec.shape) for _ in range(d)]
     for i in range(state.n_phases):
         grads = g.gradient_raw(state.values[i], h)
         for a in range(d):
-            comps[a] += SIGMA_INV * eps * du[i] * grads[a]
-    return VectorField(spec, np.stack(comps)), dissipation_rate(state, model, du)
+            comps[a] += SIGMA_INV * eps * fe.rhs[i] * grads[a]
+    return VectorField(spec, np.stack(comps)), fe.rate
 
 
 def _bilinear_periodic(values: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:

@@ -63,7 +63,6 @@ __all__ = [
     "chemical_potential",
     "compute_multiplier",
     "flow",
-    "rhs",
     "dissipation_rate",
     "step",
     "advance",
@@ -151,6 +150,7 @@ class FlowEval(NamedTuple):
     mu: np.ndarray          # chemical potential per phase
     multiplier: np.ndarray  # Lagrange multiplier, grid shaped
     floored_fraction: float
+    rate: float             # SIGMA^{-1} int eps |du/dt|^2 dx, the dissipation rate
 
 
 def _check_state(state: PhaseField, model: ModelSpec) -> None:
@@ -187,7 +187,12 @@ def chemical_potential(u_i: ScalarField, eps: float) -> ScalarField:
 
 
 def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
-    """Evaluate du/dt together with the Laplacian, chemical potential and multiplier."""
+    """Evaluate du/dt together with the Laplacian, chemical potential, multiplier
+    and dissipation rate.
+
+    du/dt = Lap u_i - W'(u_i)/eps^2 + coupling_i/eps; the eps-scaled form makes
+    the sharp-interface motion law V = H hold in simulation time directly.
+    """
     _check_state(state, model)
     u = state.values
     eps = model.eps
@@ -222,7 +227,9 @@ def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
             lam = np.where(floored, 0.0, num / np.where(floored, 1.0, den))
             coupling = lam[None] * weight
             floored_fraction = float(np.mean(floored))
-    return FlowEval((coupling - mu) / eps, lap, mu, lam, floored_fraction)
+    du = (coupling - mu) / eps
+    rate = SIGMA_INV * eps * g.integrate_raw(np.sum(du * du, axis=0), state.spec.h, state.spec.d)
+    return FlowEval(du, lap, mu, lam, floored_fraction, rate)
 
 
 def compute_multiplier(state: PhaseField, model: ModelSpec) -> MultiplierField:
@@ -239,23 +246,9 @@ def compute_multiplier(state: PhaseField, model: ModelSpec) -> MultiplierField:
     )
 
 
-def rhs(state: PhaseField, model: ModelSpec) -> np.ndarray:
-    """du/dt for the model, shaped like ``state.values``.
-
-    Equals Lap u_i - W'(u_i)/eps^2 + coupling_i/eps; the eps-scaled form makes
-    the sharp-interface motion law V = H hold in simulation time directly.
-    """
-    return flow(state, model).rhs
-
-
-def dissipation_rate(state: PhaseField, model: ModelSpec, rhs_values: np.ndarray | None = None) -> float:
-    """SIGMA^{-1} int eps |du/dt|^2 dx with du/dt taken from the flow."""
-    if rhs_values is None:
-        rhs_values = rhs(state, model)
-    total = g.integrate_raw(
-        np.sum(rhs_values * rhs_values, axis=0), state.spec.h, state.spec.d
-    )
-    return SIGMA_INV * model.eps * total
+def dissipation_rate(state: PhaseField, model: ModelSpec) -> float:
+    """SIGMA^{-1} int eps |du/dt|^2 dx, the ``rate`` of the flow at ``state``."""
+    return flow(state, model).rate
 
 
 def explicit_dt_limit(spec: GridSpec, eps: float) -> float:
@@ -292,13 +285,11 @@ def advance(
     model: ModelSpec,
     dt: float,
     scheme: str,
-    fe: FlowEval | None = None,
+    fe: FlowEval,
     project: bool = False,
 ) -> PhaseField:
-    """Apply one step of the chosen scheme using a flow evaluation at ``state``."""
+    """Apply one step of the chosen scheme using the flow evaluation ``fe`` at ``state``."""
     check_scheme(state.spec, model, dt, scheme)
-    if fe is None:
-        fe = flow(state, model)
     u = state.values
     if scheme == "ExplicitEuler":
         new = u + dt * fe.rhs
@@ -329,12 +320,9 @@ def step(
     ``project=True`` the model's constraint projection is applied to the
     result.  The returned dissipation rate is evaluated at the pre-step state.
     """
-    _check_state(state, model)
-    check_scheme(state.spec, model, dt, scheme)
     fe = flow(state, model)
-    rate = dissipation_rate(state, model, fe.rhs)
     out = advance(state, model, dt, scheme, fe, project)
-    return StepResult(out, rate, fe.floored_fraction)
+    return StepResult(out, fe.rate, fe.floored_fraction)
 
 
 def _project_weighted_square(

@@ -1,8 +1,8 @@
 """Simulation orchestration: stepping, sampling, accounting, persistence.
 
 ``run_simulation`` integrates a scenario to its end time, recording a
-``MeasureSample`` at every snapshot step.  Alongside the samples it keeps the
-running dissipation integral
+``MeasureSample`` and the flow's dissipation rate at every snapshot step.
+Alongside the samples it keeps the running dissipation integral
 
     D(t) = SIGMA^{-1} int_0^t int eps |du/dt|^2 dx dt'
 
@@ -30,14 +30,7 @@ import numpy as np
 from . import grid as g
 from .analysis import brakke_rhs_integrand, mu_of_phi
 from .diagnostics import MeasureSample, measure_sample
-from .dynamics import (
-    PhaseField,
-    advance,
-    check_scheme,
-    dissipation_rate,
-    flow,
-    max_neighbor_jump,
-)
+from .dynamics import PhaseField, advance, check_scheme, flow, max_neighbor_jump
 from .errors import BlowUpError, ScenarioError
 from .grid import ScalarField
 from .scenarios import Scenario, build_scenario
@@ -73,6 +66,7 @@ class RunRecord:
     samples: list[MeasureSample]
     sample_steps: np.ndarray
     dissipated: np.ndarray              # cumulative dissipation integral per sample
+    dissipation_rates: np.ndarray       # the flow's rate at each sample, as D(t) integrates it
     brakke: dict[str, BrakkeSeries] = field(default_factory=dict)
     states: list[PhaseField] | None = None
     snapshot_paths: list[tuple[float, Path]] = field(default_factory=list)
@@ -132,6 +126,7 @@ def run_simulation(
     names = ["one", *phi_vals]
 
     samples: list[MeasureSample] = []
+    rates: list[float] = []
     states: list[PhaseField] = [] if keep_states else None
     snapshot_paths: list[tuple[float, Path]] = []
     mu_phi_at_sample: dict[str, list[float]] = {name: [] for name in names}
@@ -160,10 +155,10 @@ def run_simulation(
     try:
         for step_index in range(n_steps + 1):
             fe = flow(state, model)
-            integrand = {"one": -dissipation_rate(state, model, fe.rhs)}
+            integrand = {"one": -fe.rate}
             for name, (pv, dv) in phi_vals.items():
                 integrand[name] = brakke_rhs_integrand(
-                    state, model, pv, dv if dv is not None else 0.0, fe.rhs
+                    state, model, fe, pv, dv if dv is not None else 0.0
                 )
             if prev_integrand is not None:
                 for name in names:
@@ -171,8 +166,9 @@ def run_simulation(
             prev_integrand = integrand
 
             if step_index in sample_set:
-                sample = measure_sample(state, model, fe.rhs)
+                sample = measure_sample(state, model)
                 samples.append(sample)
+                rates.append(fe.rate)
                 mu_phi_at_sample["one"].append(sample.energy_total)
                 for name, (pv, _) in phi_vals.items():
                     mu_phi_at_sample[name].append(mu_of_phi(state, model.eps, pv))
@@ -221,6 +217,7 @@ def run_simulation(
         samples=samples,
         sample_steps=np.asarray(sample_steps),
         dissipated=-brakke["one"].rhs_cumulative,
+        dissipation_rates=np.asarray(rates),
         brakke=brakke,
         states=states,
         snapshot_paths=snapshot_paths,

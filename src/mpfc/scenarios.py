@@ -25,6 +25,7 @@ constraint manifold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ __all__ = [
     "Scenario",
     "build_scenario",
 ]
+
+
+def _sphere_area(radius: float, d: int) -> float:
+    """Area of the (d-1)-sphere of the given radius, 2 pi^{d/2} r^{d-1} / Gamma(d/2)."""
+    return 2.0 * math.pi ** (d / 2) * radius ** (d - 1) / math.gamma(d / 2)
 
 
 def _periodic_slab(x: np.ndarray, lo: float, hi: float, eps: float) -> np.ndarray:
@@ -75,7 +81,7 @@ class FlatStrip:
         x = spec.meshgrid()[self.axis]
         return _periodic_slab(x, self.lo, self.hi, eps)
 
-    def interface_length(self) -> float:
+    def interface_length(self, d: int) -> float:
         return 2.0
 
 
@@ -106,7 +112,7 @@ class DoubleStrip:
             u += _periodic_slab(x, lo, hi, eps)
         return u
 
-    def interface_length(self) -> float:
+    def interface_length(self, d: int) -> float:
         return 4.0
 
 
@@ -133,8 +139,8 @@ class Disk:
         rho = np.sqrt(sum(torus_delta(axes[a], self.center[a]) ** 2 for a in range(spec.d)))
         return optimal_profile(self.radius - rho, eps)
 
-    def interface_length(self) -> float:
-        return 2.0 * np.pi * self.radius  # d = 2 circumference
+    def interface_length(self, d: int) -> float:
+        return _sphere_area(self.radius, d)
 
 
 @dataclass(frozen=True)
@@ -163,8 +169,8 @@ class TwoDisks:
             u += optimal_profile(r - rho, eps)
         return u
 
-    def interface_length(self) -> float:
-        return 2.0 * np.pi * (self.radii[0] + self.radii[1])
+    def interface_length(self, d: int) -> float:
+        return _sphere_area(self.radii[0], d) + _sphere_area(self.radii[1], d)
 
 
 def _clip_convex(poly: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -270,7 +276,7 @@ class TripleJunction:
     def profiles(self, spec: GridSpec, eps: float) -> np.ndarray:
         return optimal_profile(self.region_distances(spec), eps)
 
-    def interface_length(self) -> None:
+    def interface_length(self, d: int) -> None:
         return None  # seam network length is geometry dependent; not asserted
 
 
@@ -335,7 +341,7 @@ def build_scenario(scenario: Scenario) -> PhaseField:
     state = PhaseField(spec, u, time=0.0)
     state = project_constraint(state, model, max_violation=np.inf)
 
-    target = geom.interface_length()
+    target = geom.interface_length(spec.d)
     if target is not None and model.kind != ModelKind.SPHERE_LL:
         total = float(np.sum(energy_measure(state, eps)))
         expected = 2.0 * target

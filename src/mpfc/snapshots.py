@@ -11,9 +11,9 @@ Snapshot format (self-describing, parseable from any language):
 
 Floats in the header are printed with 17 significant digits, so write/read
 round-trips are exact.  Readers reject wrong magic, unknown or missing header
-keys, header values the grid, model or state would refuse, non-finite
-payload values, payload size mismatches, and trailing bytes, and never return
-a partial state.
+keys, header values the grid, model or state would refuse, a time that is
+negative or not finite, non-finite payload values, payload size mismatches,
+and trailing bytes, and never return a partial state.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ def read_snapshot(path: str | os.PathLike) -> tuple[PhaseField, ModelSpec]:
         kind = ModelKind(fields["model"])
     except (ValueError, KeyError) as exc:
         raise SnapshotFormatError(f"{path}: invalid header value ({exc})") from exc
+    if not 0.0 <= time < np.inf:
+        raise SnapshotFormatError(f"{path}: time must be finite and nonnegative, got {time}")
 
     expected = n_phases * n**d * 8
     payload = data[sep + 2 :]
@@ -118,12 +120,12 @@ def emit_timeseries(record, path: str | os.PathLike) -> None:
         raise ValueError("cannot emit a time series for an empty record")
     n_phases = len(samples[0].energy_per_phase)
     lines = [",".join(timeseries_header(n_phases))]
-    for s in samples:
+    for s, rate in zip(samples, record.dissipation_rates):
         row = [s.time, s.energy_total]
         row += list(s.energy_per_phase)
         row += [s.discrepancy_abs]
         row += list(s.discrepancy_per_phase)
         row += list(s.bv_proxy_per_phase)
-        row += [energy_bv_gap(s), s.dissipation_rate, s.constraint_drift]
+        row += [energy_bv_gap(s), rate, s.constraint_drift]
         lines.append(",".join(_fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -20,6 +20,11 @@ __all__ = [
 
 
 def _torus_radius(spec: GridSpec, center) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Torus distance to ``center`` (default: the middle of the cell) and its components."""
+    if center is None:
+        center = (0.5,) * spec.d
+    elif len(center) != spec.d:
+        raise ValueError(f"center must have {spec.d} components, got {len(center)}")
     axes = spec.meshgrid()
     deltas = [torus_delta(axes[a], center[a]) for a in range(spec.d)]
     rho = np.sqrt(sum(d * d for d in deltas))
@@ -34,11 +39,11 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
 
 def bump_field(
     spec: GridSpec,
-    center=(0.5, 0.5),
+    center=None,
     plateau: float = 0.15,
     support: float = 0.45,
 ) -> ScalarField:
-    """Nonnegative radial bump: 1 inside ``plateau``, 0 outside ``support``."""
+    """Nonnegative radial bump around ``center``: 1 inside ``plateau``, 0 outside ``support``."""
     if not 0.0 < plateau < support < 0.5:
         raise ValueError("need 0 < plateau < support < 0.5")
     rho, _ = _torus_radius(spec, center)
@@ -56,7 +61,7 @@ def constant_vector_field(spec: GridSpec, direction) -> VectorField:
 
 def radial_vector_field(
     spec: GridSpec,
-    center=(0.5, 0.5),
+    center=None,
     inward: bool = True,
     inner: float = 0.05,
     plateau: tuple[float, float] = (0.1, 0.4),

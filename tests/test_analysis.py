@@ -10,19 +10,20 @@ from mpfc.analysis import (
     KernelSpec,
     backward_heat_kernel,
     brakke_residual,
+    brakke_rhs_integrand,
     gaussian_density,
     kernel_field,
     monotonicity_check,
     mu_of_phi,
 )
 from mpfc.diagnostics import measure_sample
-from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, dissipation_rate
+from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, dissipation_rate, flow
 from mpfc.errors import InputError
 from mpfc.grid import GridSpec, ScalarField, laplacian_raw
 from mpfc.potential import SIGMA, double_well, double_well_prime
 from mpfc.run import run_simulation
 from mpfc.scenarios import Disk, Scenario
-from mpfc.testfields import bump_field
+from mpfc.testfields import bump_field, radial_vector_field
 
 
 def image_sum_oracle(x, y, tau, radius=60):
@@ -153,6 +154,9 @@ class TestMonotonicityCheck:
         bad = states[:2] + [PhaseField(spec, states[2].values, time=0.00021)]
         with pytest.raises(InputError):
             monotonicity_check(bad, 0.05, kspec)
+        nan = states[:1] + [PhaseField(spec, states[1].values, time=np.nan)] + states[2:]
+        with pytest.raises(InputError):
+            monotonicity_check(nan, 0.05, kspec)
         late = KernelSpec(center_y=(0.5, 0.5), terminal_s=0.0003)
         with pytest.raises(InputError):
             monotonicity_check(states, 0.05, late)
@@ -230,6 +234,89 @@ class TestBrakkeResidual:
         phi = ScalarField.constant(spec, -1.0)
         with pytest.raises(InputError):
             brakke_residual(states, model.eps, model, phi)
+
+    def test_nan_time_rejected(self):
+        spec = GridSpec(2, 32)
+        states = equilibrium_run(spec, n_snap=4)
+        states[1] = PhaseField(spec, states[1].values, time=np.nan)
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
+        with pytest.raises(InputError):
+            brakke_residual(states, model.eps, model, bump_field(spec))
+
+    def test_times_checked_before_any_state_is_evaluated(self, monkeypatch):
+        import mpfc.analysis
+        import mpfc.dynamics
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("brakke_residual evaluated a state before checking the times")
+
+        spec = GridSpec(2, 32)
+        states = equilibrium_run(spec, n_snap=4)[::-1]
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
+        monkeypatch.setattr(mpfc.dynamics, "flow", no_flow)
+        monkeypatch.setattr(mpfc.analysis, "flow", no_flow)
+        with pytest.raises(InputError):
+            brakke_residual(states, model.eps, model, bump_field(spec))
+
+    def test_one_flow_per_state(self, monkeypatch):
+        import mpfc.analysis
+        import mpfc.dynamics
+
+        calls = []
+
+        def counted(state, model):
+            calls.append(state.time)
+            return flow(state, model)
+
+        spec = GridSpec(2, 32)
+        model = ModelSpec(ModelKind.SPHERE_LL, 0.125, 3)
+        states = [
+            PhaseField(spec, random_smooth_state(spec, 3, seed=k).values + 0.5, time=k * 1e-4)
+            for k in range(5)
+        ]
+        monkeypatch.setattr(mpfc.dynamics, "flow", counted)
+        monkeypatch.setattr(mpfc.analysis, "flow", counted)
+        brakke_residual(states, model.eps, model, bump_field(spec))
+        assert calls == [st.time for st in states]
+
+    def test_space_time_phi_is_linear_in_the_time_factor(self):
+        # phi_k = c(t_k) psi with d_t phi_k = c'(t_k) psi must give the
+        # residual assembled from the static pieces of psi.
+        n = 64
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 4.0 / n, 2)
+        spec = GridSpec(2, n)
+        scn = Scenario(
+            geometry=Disk(radius=0.3), model=model, grid=spec,
+            dt=spec.h**2, t_end=32 * spec.h**2, snapshot_every=8,
+        )
+        states = run_simulation(scn, keep_states=True).states
+        psi = bump_field(spec)
+        times = np.array([st.time for st in states])
+        c = 1.0 + 40.0 * times + 3e3 * times**2
+        dc = 40.0 + 6e3 * times
+        phis = [ScalarField(spec, ck * psi.values) for ck in c]
+        dphis = [ScalarField(spec, dck * psi.values) for dck in dc]
+        res = brakke_residual(states, model.eps, model, phis, dphis)
+
+        lhs = np.array([ck * mu_of_phi(st, model.eps, psi.values) for ck, st in zip(c, states)])
+        integrand = np.array([
+            dck * mu_of_phi(st, model.eps, psi.values)
+            + ck * brakke_rhs_integrand(st, model, flow(st, model), psi.values)
+            for ck, dck, st in zip(c, dc, states)
+        ])
+        expected = np.diff(lhs) - 0.5 * np.diff(times) * (integrand[:-1] + integrand[1:])
+        assert np.all(np.abs(dc * mu_of_phi(states[0], model.eps, psi.values)) > 0.0)
+        assert np.max(np.abs(res - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_space_time_phi_list_length_must_match(self):
+        spec = GridSpec(2, 32)
+        states = equilibrium_run(spec, n_snap=4)
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
+        phi = bump_field(spec)
+        with pytest.raises(InputError):
+            brakke_residual(states, model.eps, model, [phi] * 3)
+        with pytest.raises(InputError):
+            brakke_residual(states, model.eps, model, [phi] * 4, [phi] * 5)
 
     def test_constant_phi_reduces_to_energy_balance(self):
         # phi == 1 kills the gradient and time-derivative terms, leaving the
@@ -332,6 +419,23 @@ class TestDiscreteVariationalIdentity:
     def test_constant_phi_has_no_cross_term(self):
         fd, expected = self.directional_derivatives(np.ones((32, 32)))
         assert abs(fd - expected) <= 1e-12 * abs(expected)
+
+
+class TestTestFieldCentres:
+    def test_default_centre_follows_the_grid_dimension(self):
+        spec = GridSpec(3, 16)
+        bump = bump_field(spec)
+        assert bump.values[8, 8, 8] == 1.0
+        assert bump.values[0, 0, 0] == 0.0
+        assert np.array_equal(bump.values, bump_field(spec, center=(0.5, 0.5, 0.5)).values)
+        assert radial_vector_field(spec).values.shape == (3, 16, 16, 16)
+
+    def test_centre_of_the_wrong_length_rejected(self):
+        spec = GridSpec(3, 16)
+        with pytest.raises(ValueError):
+            bump_field(spec, center=(0.5, 0.5))
+        with pytest.raises(ValueError):
+            radial_vector_field(GridSpec(2, 16), center=(0.5, 0.5, 0.5))
 
 
 class TestKernelField:

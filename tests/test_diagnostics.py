@@ -14,7 +14,7 @@ from mpfc.diagnostics import (
     measure_junction_angles,
     measure_sample,
 )
-from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, project_constraint, rhs
+from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, flow, project_constraint
 from mpfc.errors import InputError
 from mpfc.grid import GridSpec, ScalarField, integrate_raw
 from mpfc.potential import SIGMA, double_well
@@ -154,6 +154,23 @@ class TestMeasureSample:
         absolute = discrepancy_measure(state, eps, signed=False)
         assert sample.discrepancy_abs == float(np.sum(absolute))
         assert np.all(sample.bv_proxy_per_phase == bv_proxy(state))
+
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_evaluates_no_flow(self, kind, monkeypatch):
+        # Every field of the sample depends on the state alone; the rate
+        # belongs to the flow evaluation, not to the sample.
+        import mpfc.diagnostics
+        import mpfc.dynamics
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("measure_sample evaluated the flow")
+
+        state = random_smooth_state(GridSpec(2, 32), 3, seed=2)
+        monkeypatch.setattr(mpfc.dynamics, "flow", no_flow)
+        monkeypatch.setattr(mpfc.diagnostics, "flow", no_flow)
+        sample = measure_sample(state, ModelSpec(kind, 0.125, 3))
+        assert sample.energy_total > 0.0
 
 
 class TestFirstVariation:
@@ -309,7 +326,7 @@ class TestMeanCurvatureProxy:
         state = project_constraint(disk_state(n, eps), model, max_violation=np.inf)
         density, bound = mean_curvature_proxy(state, model)
         h, d = state.spec.h, state.spec.d
-        du = rhs(state, model)
+        du = flow(state, model).rhs
         for seed in range(5):
             gfield = random_smooth_vector_field(state.spec, seed=seed)
             gv = gfield.values

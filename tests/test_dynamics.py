@@ -19,7 +19,6 @@ from mpfc.dynamics import (
     flow,
     max_neighbor_jump,
     project_constraint,
-    rhs,
     step,
 )
 from mpfc.errors import (
@@ -133,12 +132,12 @@ class TestRhs:
             (ModelSpec(ModelKind.WEIGHTED_SQUARE, 0.05, 2), (1.0, 0.0)),
         ]
         for model, pattern in cases:
-            du = rhs(wells_state(spec64, pattern), model)
+            du = flow(wells_state(spec64, pattern), model).rhs
             assert np.max(np.abs(du)) == 0.0
 
     def test_sphere_orthogonality_on_projected_states(self):
         state, model = projected_sphere_state(n=64, seed=3)
-        du = rhs(state, model)
+        du = flow(state, model).rhs
         inner = np.sum(state.values * du, axis=0)
         assert np.max(np.abs(inner)) < 1e-12 * max(1.0, np.max(np.abs(du)))
 
@@ -146,7 +145,7 @@ class TestRhs:
         spec = GridSpec(2, 64)
         state = random_smooth_state(spec, 3, seed=8)
         model = ModelSpec(ModelKind.MEAN_SHIFT, 0.0625, 3)
-        du = rhs(state, model)
+        du = flow(state, model).rhs
         scale = np.max(np.abs(du))
         assert np.max(np.abs(np.sum(du, axis=0))) < 1e-13 * scale
 
@@ -155,7 +154,7 @@ class TestRhs:
         spec = GridSpec(2, 64)
         state = random_smooth_state(spec, 2, seed=12, amplitude=0.2)
         model = ModelSpec(ModelKind.WEIGHTED_SQUARE, 0.0625, 2)
-        du = rhs(state, model)
+        du = flow(state, model).rhs
         from mpfc.potential import sqrt_double_well
 
         rate = np.sum(sqrt_double_well(state.values) * du, axis=0)
@@ -209,6 +208,15 @@ class TestStep:
         huge = wells_state(spec64, (1e200, 1.0 - 1e200))
         with pytest.raises(BlowUpError):
             step(huge, model, 1e-8, "ExplicitEuler")
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_flow_rate_is_the_dissipation_rate(self, kind):
+        state = random_smooth_state(GridSpec(2, 64), 3, seed=5)
+        model = ModelSpec(kind, 0.0625, 3)
+        fe = flow(state, model)
+        assert fe.rate > 0.0
+        assert fe.rate == dissipation_rate(state, model)
+        assert step(state, model, 1e-6).dissipation_rate == fe.rate
 
     def test_dissipation_rate_matches_standalone(self):
         eps = 1.0 / 16.0

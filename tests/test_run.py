@@ -103,6 +103,7 @@ class TestRunSimulation:
         assert len(csv_rates) == len(rec.states) == 17
         for rate, state in zip(csv_rates, rec.states):
             assert rate == dissipation_rate(state, scn.model)
+        assert np.array_equal(rec.dissipation_rates, csv_rates)
 
     def test_keep_states(self):
         rec = run_simulation(disk_scenario(t_end=0.002), keep_states=True)

@@ -84,6 +84,22 @@ class TestBuiltStates:
         expected = 2.0 * 2.0 * np.pi * 0.3
         assert abs(total - expected) <= 0.1 * expected
 
+    def test_ball_interface_is_the_sphere_area(self):
+        assert Disk(radius=0.3).interface_length(2) == pytest.approx(2.0 * np.pi * 0.3, rel=1e-15)
+        assert Disk(radius=0.3).interface_length(3) == pytest.approx(4.0 * np.pi * 0.09, rel=1e-15)
+        two = TwoDisks(centers=((0.25,) * 3, (0.75,) * 3), radii=(0.1, 0.2))
+        assert two.interface_length(3) == pytest.approx(4.0 * np.pi * 0.05, rel=1e-15)
+
+    def test_well_prepared_3d_ball_is_accepted(self):
+        # n = 64, eps = 4h: the energy reads 2.3812 against 2 x 4 pi r^2 = 2.2619.
+        spec = GridSpec(3, 64)
+        eps = 4.0 * spec.h
+        state = build_scenario(
+            scenario_for(Disk(center=(0.5, 0.5, 0.5), radius=0.3), eps=eps, spec=spec)
+        )
+        total = float(np.sum(energy_measure(state, eps)))
+        assert abs(total - 2.0 * 4.0 * np.pi * 0.09) <= 0.06 * 2.0 * 4.0 * np.pi * 0.09
+
     @pytest.mark.parametrize(
         "kind,n_phases",
         [

@@ -120,6 +120,14 @@ class TestSnapshotRoundTrip:
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf", "-1"])
+    def test_time_not_finite_and_nonnegative_rejected(self, tmp_path, time):
+        # Downstream checks difference the times; a NaN would slip through them.
+        path = tmp_path / "bad_time.mpfc"
+        write_raw_snapshot(path, time=time)
+        with pytest.raises(SnapshotFormatError):
+            read_snapshot(path)
+
     def test_nan_payload_rejected(self, tmp_path):
         values = np.zeros(2 * 16 * 16)
         values[37] = np.nan
@@ -163,11 +171,11 @@ class TestTimeseries:
         path = tmp_path / "ts.csv"
         emit_timeseries(record, path)
         lines = path.read_text().strip().splitlines()
-        for line, sample in zip(lines[1:], record.samples):
+        for line, sample, rate in zip(lines[1:], record.samples, record.dissipation_rates):
             vals = [float(v) for v in line.split(",")]
             # 17 significant digits reproduce binary64 exactly
             assert vals[0] == sample.time
             assert vals[1] == sample.energy_total
             assert vals[2] == sample.energy_per_phase[0]
-            assert vals[-2] == sample.dissipation_rate
+            assert vals[-2] == rate
             assert vals[-1] == sample.constraint_drift
