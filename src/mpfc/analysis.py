@@ -218,6 +218,8 @@ def monotonicity_check(
     """
     if len(run) < 3:
         raise InputError("monotonicity_check needs at least 3 snapshots")
+    if model is not None:
+        _check_eps(eps, model)
     times = np.array([st.time for st in run])
     dts = np.diff(times)
     if not np.all(dts > 0):
@@ -271,6 +273,20 @@ def monotonicity_check(
     return trace, verdict
 
 
+def _check_eps(eps: float, model: ModelSpec) -> None:
+    """The flow runs at ``model.eps``; an ``eps`` beside it must be the same."""
+    if eps != model.eps:
+        raise InputError(f"eps={eps} differs from the model's eps={model.eps}")
+
+
+def _check_test_function(phi: ScalarField, spec: GridSpec) -> None:
+    """Reject a weighted-balance test function that is negative or off the run's grid."""
+    if phi.spec != spec:
+        raise InputError(f"test function lives on {phi.spec}, the run on {spec}")
+    if np.min(phi.values) < 0:
+        raise InputError("Brakke test functions must be nonnegative")
+
+
 def mu_of_phi(state: PhaseField, eps: float, phi_values: np.ndarray) -> float:
     """int phi d(mu_t) for a nonnegative test function sampled on the grid."""
     return g.integrate_raw(phi_values * _densities(state, eps)[0], state.spec.h, state.spec.d)
@@ -322,6 +338,7 @@ def brakke_residual(
     """
     if len(run) < 2:
         raise InputError("brakke_residual needs at least 2 snapshots")
+    _check_eps(eps, model)
     n_snap = len(run)
     times = np.array([st.time for st in run])
     dts = np.diff(times)
@@ -339,9 +356,8 @@ def brakke_residual(
 
     phis = as_list(phi, "phi")
     dphis = as_list(dphi_dt, "dphi_dt")
-    for f in phis:
-        if np.min(f.values) < 0:
-            raise InputError("Brakke test functions must be nonnegative")
+    for f, st in zip(phis, run):
+        _check_test_function(f, st.spec)
 
     lhs = np.empty(n_snap)
     integrand = np.empty(n_snap)

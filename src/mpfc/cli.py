@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import KernelSpec, brakke_residual, monotonicity_check
 from .diagnostics import energy_bv_gap, energy_measure, first_variation, measure_sample
-from .dynamics import ModelKind, ModelSpec, dissipation_rate
+from .dynamics import ModelKind, ModelSpec, dissipation_rate, flow
 from .errors import BlowUpError, ConfigurationError, MpfcError
 from .grid import GridSpec, ScalarField
 from .run import load_run_states, run_simulation
@@ -195,13 +195,14 @@ def _build_test_field(name: str, spec: GridSpec):
 def _cmd_diagnose(args) -> int:
     state, model = read_snapshot(args.snapshot)
     sample = measure_sample(state, model)
+    fe = flow(state, model)
     print(f"time             : {sample.time:.8g}")
     print(f"energy per phase : {np.array2string(sample.energy_per_phase, precision=6)}")
     print(f"energy total     : {sample.energy_total:.8g}")
     print(f"discrepancy (abs): {sample.discrepancy_abs:.6g}")
     print(f"bv proxy         : {np.array2string(sample.bv_proxy_per_phase, precision=6)}")
     print(f"energy-bv gap    : {energy_bv_gap(sample):.6g}")
-    print(f"dissipation rate : {dissipation_rate(state, model):.6g}")
+    print(f"dissipation rate : {fe.rate:.6g}")
     print(f"constraint drift : {sample.constraint_drift:.3e}")
     print(f"overshoot        : {sample.overshoot:.3e}")
 
@@ -219,7 +220,7 @@ def _cmd_diagnose(args) -> int:
 
     if args.test_field:
         gfield = _build_test_field(args.test_field, state.spec)
-        report = first_variation(state, model, gfield, test_field_id=args.test_field)
+        report = first_variation(state, model, fe, gfield)
         print(f"first variation  : {report.first_variation:.8g}")
         print(f"chemical form    : {report.chemical_form:.8g}")
         print(f"kinetic form     : {report.kinetic_form:.8g}")

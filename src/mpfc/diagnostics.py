@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as g
-from .dynamics import ModelSpec, PhaseField, constraint_violation, flow
+from .dynamics import FlowEval, ModelSpec, PhaseField, constraint_violation, flow
 from .errors import InputError
 from .grid import ScalarField, VectorField
 from .potential import SIGMA, double_well, sqrt_double_well
@@ -179,7 +179,6 @@ class VariationReport:
     residual, which vanishes identically on constraint-projected states.
     """
 
-    test_field_id: str
     first_variation: float
     chemical_form: float
     kinetic_form: float
@@ -187,11 +186,9 @@ class VariationReport:
 
 
 def first_variation(
-    state: PhaseField,
-    model: ModelSpec,
-    test_field: VectorField,
-    test_field_id: str = "g",
+    state: PhaseField, model: ModelSpec, fe: FlowEval, test_field: VectorField
 ) -> VariationReport:
+    """Pair ``test_field`` with the three forms; ``fe`` is ``dynamics.flow(state, model)``."""
     if test_field.spec != state.spec:
         raise ValueError("test field lives on a different grid")
     eps = model.eps
@@ -200,7 +197,6 @@ def first_variation(
     gv = test_field.values
     grad_g = [g.gradient_raw(gv[a], h) for a in range(d)]  # grad_g[a][b] = d_b g_a
     div_g = sum(grad_g[a][a] for a in range(d))
-    fe = flow(state, model)
 
     varifold = 0.0
     chemical = 0.0
@@ -227,7 +223,6 @@ def first_variation(
         kinetic += SIGMA_INV * eps * g.integrate_raw(fe.rhs[i] * g_dot_grad, h, d)
 
     return VariationReport(
-        test_field_id=test_field_id,
         first_variation=varifold,
         chemical_form=chemical,
         kinetic_form=kinetic,
@@ -305,22 +300,17 @@ def _junction_offset(state: PhaseField, cell: tuple[int, ...]) -> np.ndarray:
 
 
 def measure_junction_angles(
-    state: PhaseField,
-    center_hint: tuple[float, float],
-    search_radius: float = 0.1,
-    annulus: tuple[float, float] | None = None,
-    n_theta: int = 1440,
-    n_radii: int = 9,
+    state: PhaseField, center_hint: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sector angles of the phases around a triple junction, in degrees.
 
     Protocol: locate the junction as the cell minimizing u_(1) - u_(3), the
-    spread of the three largest phases, within ``search_radius`` of the hint
+    spread of the three largest phases, within distance 0.1 of the hint
     (max_i u_i would not do: it is flat at 1/2 along every interface of
     unprojected profiles), refined to the sub-cell point where those three
-    phases are equal (plane fits on its 3x3 block); then walk circles of
-    radius r in the annulus (default [5h, 15h]), assign each angular sample
-    its dominant phase by bilinear interpolation, and read off the boundary
+    phases are equal (plane fits on its 3x3 block); then walk 9 circles of
+    radius r in [5h, 15h], assign each of their 1440 angular samples its
+    dominant phase by bilinear interpolation, and read off the boundary
     directions where the dominant phase switches.  Boundary directions are
     averaged over radii per phase pair; the returned sector widths sum to 360.
 
@@ -332,13 +322,12 @@ def measure_junction_angles(
         raise InputError(f"a triple junction needs 3 phases, the state has {state.n_phases}")
     n = state.spec.n
     h = state.spec.h
-    if annulus is None:
-        annulus = (5 * h, 15 * h)
+    n_theta = 1440
 
     X, Y = state.spec.meshgrid()
     dx = g.torus_delta(X, center_hint[0])
     dy = g.torus_delta(Y, center_hint[1])
-    near = dx * dx + dy * dy <= search_radius**2
+    near = dx * dx + dy * dy <= 0.1**2
     ranked = np.sort(state.values, axis=0)
     masked = np.where(near, ranked[-1] - ranked[-3], np.inf)
     jidx = np.unravel_index(np.argmin(masked), masked.shape)
@@ -346,7 +335,7 @@ def measure_junction_angles(
 
     thetas = np.arange(n_theta) * (2 * np.pi / n_theta)
     boundary_by_pair: dict[tuple[int, int], list[float]] = {}
-    for r in np.linspace(annulus[0], annulus[1], n_radii):
+    for r in np.linspace(5 * h, 15 * h, 9):
         pts = (junction[None, :] + r * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)) % 1.0
         samples = np.stack(
             [_bilinear_periodic(state.values[i], pts, n) for i in range(state.n_phases)]

@@ -295,7 +295,7 @@ def advance(
         new = u + dt * fe.rhs
     else:
         explicit = fe.rhs - fe.lap
-        new = g.helmholtz_solve_raw(u + dt * explicit, 1.0, dt, state.spec, axis_offset=1)
+        new = g.helmholtz_solve_raw(u + dt * explicit, 1.0, dt, state.spec)
     if not np.isfinite(new).all():
         raise BlowUpError("non-finite values after step", time=state.time + dt)
     out = PhaseField(state.spec, new, state.time + dt)

@@ -117,7 +117,7 @@ class VectorField:
 
 
 # Raw-array kernels.  The axes of a scalar array are the grid axes; stacked
-# arrays (N phases first) pass axis_offset=1 where a kernel accepts it.
+# arrays (N phases first) pass axis_offset=1 to ``laplacian_raw``.
 
 
 def torus_delta(x: np.ndarray, c) -> np.ndarray:
@@ -206,13 +206,13 @@ def stencil_symbol(spec: GridSpec) -> np.ndarray:
     return sym
 
 
-def helmholtz_solve_raw(
-    rhs: np.ndarray, a: float, b: float, spec: GridSpec, axis_offset: int = 0
-) -> np.ndarray:
+def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec) -> np.ndarray:
+    """``helmholtz_solve`` on a raw array; axes before the last ``spec.d`` stack fields."""
     if not a > 0:
         raise ValueError(f"helmholtz_solve requires a > 0, got a={a}")
     if b < 0:
         raise ValueError(f"helmholtz_solve requires b >= 0, got b={b}")
+    axis_offset = rhs.ndim - spec.d
     axes = tuple(range(axis_offset, rhs.ndim))
     denom = a - b * stencil_symbol(spec)
     x = np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) / denom, s=spec.shape, axes=axes)

@@ -18,9 +18,9 @@ All functions accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit
 
 from .errors import InputError
 
@@ -80,7 +80,9 @@ def profile_transform(s):
 def profile_transform_inverse(y: float) -> float:
     """Inverse of G restricted to [0, 1].
 
-    Raises InputError when y is outside G([0, 1]) = [0, 1].
+    On [0, 1], G(s) = 3 s^2 - 2 s^3; its root in [0, 1] has the closed form
+    s = 1/2 - sin(asin(1 - 2y) / 3).  Raises InputError when y is outside
+    G([0, 1]) = [0, 1].
     """
     y = float(y)
     if not 0.0 <= y <= 1.0:
@@ -89,7 +91,7 @@ def profile_transform_inverse(y: float) -> float:
         return 0.0
     if y == 1.0:
         return 1.0
-    return brentq(lambda s: profile_transform(s) - y, 0.0, 1.0, xtol=1e-14)
+    return 0.5 - math.sin(math.asin(1.0 - 2.0 * y) / 3.0)
 
 
 def optimal_profile(z, eps: float):
@@ -101,4 +103,6 @@ def optimal_profile(z, eps: float):
     if not eps > 0:
         raise ValueError(f"optimal_profile requires eps > 0, got {eps}")
     z = np.asarray(z, dtype=np.float64)
-    return expit(z / eps)
+    # exp overflows to inf far on the negative side, where q is then exactly 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z / eps))

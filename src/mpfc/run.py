@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grid as g
-from .analysis import brakke_rhs_integrand, mu_of_phi
+from .analysis import _check_test_function, brakke_rhs_integrand, mu_of_phi
 from .diagnostics import MeasureSample, measure_sample
 from .dynamics import PhaseField, advance, check_scheme, flow, max_neighbor_jump
 from .errors import BlowUpError, ScenarioError
@@ -93,16 +93,29 @@ def run_simulation(
     *,
     keep_states: bool = False,
     out_dir: str | os.PathLike | None = None,
-    brakke_phis: dict[str, tuple[ScalarField, ScalarField | None]] | None = None,
+    brakke_phis: dict[str, tuple[ScalarField, None]] | None = None,
 ) -> RunRecord:
     """Integrate a scenario and record diagnostics at every snapshot step.
 
-    ``brakke_phis`` maps series names to (phi, dphi_dt) test-function pairs;
-    the series named ``"one"`` is always present.  With ``out_dir`` set, a
-    snapshot file is written at every sample and ``timeseries.csv`` at the
-    end; on blow-up the last good snapshot is persisted before the error
-    propagates.  ``t_end`` is rounded to a whole number of steps.
+    ``brakke_phis`` maps series names to (phi, None) pairs: phi is a
+    nonnegative test function on the run's grid, fixed in time, so its time
+    derivative must be ``None`` (a d_t phi term would integrate the
+    derivative of some other phi).  The series named ``"one"`` is always
+    present.  With ``out_dir`` set, a snapshot file is written at every
+    sample and ``timeseries.csv`` at the end; on blow-up the last good
+    snapshot is persisted before the error propagates.  ``t_end`` is rounded
+    to a whole number of steps.
     """
+    phis = brakke_phis or {}
+    if "one" in phis:
+        raise ValueError('the Brakke series name "one" is reserved')
+    for name, (phi, dphi_dt) in phis.items():
+        if dphi_dt is not None:
+            raise ValueError(f"Brakke series {name!r}: phi is static, so d_t phi must be None")
+        _check_test_function(phi, scenario.grid)
+    phi_vals = {name: phi.values for name, (phi, _) in phis.items()}
+    names = ["one", *phi_vals]
+
     model = scenario.model
     state = build_scenario(scenario)
     check_scheme(scenario.grid, model, scenario.dt, scenario.scheme)
@@ -118,12 +131,6 @@ def run_simulation(
     sample_steps = sorted(set(range(0, n_steps + 1, scenario.snapshot_every)) | {n_steps})
     sample_set = set(sample_steps)
     project = scenario.projection == "every_step"
-
-    phis = dict(brakke_phis or {})
-    if "one" in phis:
-        raise ValueError('the Brakke series name "one" is reserved')
-    phi_vals = {name: (p.values, None if dp is None else dp.values) for name, (p, dp) in phis.items()}
-    names = ["one", *phi_vals]
 
     samples: list[MeasureSample] = []
     rates: list[float] = []
@@ -156,10 +163,8 @@ def run_simulation(
         for step_index in range(n_steps + 1):
             fe = flow(state, model)
             integrand = {"one": -fe.rate}
-            for name, (pv, dv) in phi_vals.items():
-                integrand[name] = brakke_rhs_integrand(
-                    state, model, fe, pv, dv if dv is not None else 0.0
-                )
+            for name, pv in phi_vals.items():
+                integrand[name] = brakke_rhs_integrand(state, model, fe, pv)
             if prev_integrand is not None:
                 for name in names:
                     rhs_cum[name] += dt * 0.5 * (prev_integrand[name] + integrand[name])
@@ -170,7 +175,7 @@ def run_simulation(
                 samples.append(sample)
                 rates.append(fe.rate)
                 mu_phi_at_sample["one"].append(sample.energy_total)
-                for name, (pv, _) in phi_vals.items():
+                for name, pv in phi_vals.items():
                     mu_phi_at_sample[name].append(mu_of_phi(state, model.eps, pv))
                 for name in names:
                     rhs_cum_at_sample[name].append(rhs_cum[name])

@@ -62,11 +62,10 @@ def _periodic_slab(x: np.ndarray, lo: float, hi: float, eps: float) -> np.ndarra
 
 @dataclass(frozen=True)
 class FlatStrip:
-    """Phase 0 is the slab lo <= x_axis <= hi; two flat interfaces."""
+    """Phase 0 is the slab lo <= x_0 <= hi; two flat interfaces."""
 
     lo: float = 0.25
     hi: float = 0.75
-    axis: int = 0
 
     n_regions = 2
 
@@ -78,7 +77,7 @@ class FlatStrip:
             raise ScenarioError("strip interfaces closer than 6 eps")
 
     def inside_profile(self, spec: GridSpec, eps: float) -> np.ndarray:
-        x = spec.meshgrid()[self.axis]
+        x = spec.meshgrid()[0]
         return _periodic_slab(x, self.lo, self.hi, eps)
 
     def interface_length(self, d: int) -> float:
@@ -87,10 +86,9 @@ class FlatStrip:
 
 @dataclass(frozen=True)
 class DoubleStrip:
-    """Phase 0 is the union of two parallel slabs; four flat interfaces."""
+    """Phase 0 is the union of two slabs across axis 0; four flat interfaces."""
 
     bands: tuple[tuple[float, float], tuple[float, float]] = ((0.125, 0.375), (0.625, 0.875))
-    axis: int = 0
 
     n_regions = 2
 
@@ -106,7 +104,7 @@ class DoubleStrip:
             raise ScenarioError("double-strip interfaces closer than 6 eps")
 
     def inside_profile(self, spec: GridSpec, eps: float) -> np.ndarray:
-        x = spec.meshgrid()[self.axis]
+        x = spec.meshgrid()[0]
         u = np.zeros(spec.shape)
         for lo, hi in self.bands:
             u += _periodic_slab(x, lo, hi, eps)

@@ -37,17 +37,10 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
     return t * t * (3.0 - 2.0 * t)
 
 
-def bump_field(
-    spec: GridSpec,
-    center=None,
-    plateau: float = 0.15,
-    support: float = 0.45,
-) -> ScalarField:
-    """Nonnegative radial bump around ``center``: 1 inside ``plateau``, 0 outside ``support``."""
-    if not 0.0 < plateau < support < 0.5:
-        raise ValueError("need 0 < plateau < support < 0.5")
+def bump_field(spec: GridSpec, center=None) -> ScalarField:
+    """Nonnegative radial bump around ``center``: 1 within radius 0.15, 0 beyond 0.45."""
     rho, _ = _torus_radius(spec, center)
-    return ScalarField(spec, 1.0 - _smoothstep((rho - plateau) / (support - plateau)))
+    return ScalarField(spec, 1.0 - _smoothstep((rho - 0.15) / (0.45 - 0.15)))
 
 
 def constant_vector_field(spec: GridSpec, direction) -> VectorField:
@@ -59,40 +52,31 @@ def constant_vector_field(spec: GridSpec, direction) -> VectorField:
     )
 
 
-def radial_vector_field(
-    spec: GridSpec,
-    center=None,
-    inward: bool = True,
-    inner: float = 0.05,
-    plateau: tuple[float, float] = (0.1, 0.4),
-    outer: float = 0.49,
-) -> VectorField:
-    """Unit radial field around ``center``, ramped to zero near the center and
-    before the periodic seam so it is smooth on the torus.
+def radial_vector_field(spec: GridSpec, center=None) -> VectorField:
+    """Unit inward radial field around ``center``, ramped to zero near the center
+    and before the periodic seam so it is smooth on the torus.
 
-    The field has unit magnitude on ``plateau`` and points inward by default.
+    The field has unit magnitude for radii in [0.1, 0.4] and vanishes inside
+    0.05 and beyond 0.49.
     """
     rho, deltas = _torus_radius(spec, center)
-    ramp_in = _smoothstep((rho - inner) / (plateau[0] - inner))
-    ramp_out = 1.0 - _smoothstep((rho - plateau[1]) / (outer - plateau[1]))
+    ramp_in = _smoothstep((rho - 0.05) / (0.1 - 0.05))
+    ramp_out = 1.0 - _smoothstep((rho - 0.4) / (0.49 - 0.4))
     mag = ramp_in * ramp_out
     safe = np.where(rho > 1e-12, rho, 1.0)
-    sign = -1.0 if inward else 1.0
-    comps = [sign * mag * d / safe for d in deltas]
+    comps = [-mag * d / safe for d in deltas]
     return VectorField(spec, np.stack(comps))
 
 
-def random_smooth_vector_field(
-    spec: GridSpec, seed: int, max_mode: int = 3
-) -> VectorField:
-    """Band-limited random vector field with reproducible coefficients."""
+def random_smooth_vector_field(spec: GridSpec, seed: int) -> VectorField:
+    """Band-limited random vector field (wavenumbers up to 3) with reproducible coefficients."""
     rng = np.random.default_rng(seed)
     axes = spec.meshgrid()
     comps = []
     for _ in range(spec.d):
         comp = np.zeros(spec.shape)
         for _ in range(6):
-            k = rng.integers(-max_mode, max_mode + 1, size=spec.d)
+            k = rng.integers(-3, 4, size=spec.d)
             amp = rng.normal()
             phase = rng.uniform(0, 2 * np.pi)
             arg = 2.0 * np.pi * sum(int(k[a]) * axes[a] for a in range(spec.d))

@@ -287,7 +287,7 @@ class TestCriterion6MeanCurvature:
         from mpfc.diagnostics import mean_curvature_proxy
 
         density, bound = mean_curvature_proxy(state, model)
-        gfield = radial_vector_field(state.spec, inward=True)
+        gfield = radial_vector_field(state.spec)
         pairing = integrate_raw(
             np.sum(density.values * gfield.values, axis=0), state.spec.h, 2
         )

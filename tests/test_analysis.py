@@ -161,6 +161,15 @@ class TestMonotonicityCheck:
         with pytest.raises(InputError):
             monotonicity_check(states, 0.05, late)
 
+    def test_eps_must_match_the_model(self):
+        # The sphere terms evaluate the flow at model.eps; the densities use eps.
+        spec = GridSpec(2, 32)
+        states = equilibrium_run(spec, n_snap=4)
+        kspec = KernelSpec(center_y=(0.5, 0.5), terminal_s=1.0)
+        model = ModelSpec(ModelKind.SPHERE_LL, 0.05, 2)
+        with pytest.raises(InputError):
+            monotonicity_check(states, 0.06, kspec, model=model)
+
     def test_shrinking_disk_inequality_holds(self):
         n = 128
         eps = 8.0 / n
@@ -234,6 +243,37 @@ class TestBrakkeResidual:
         phi = ScalarField.constant(spec, -1.0)
         with pytest.raises(InputError):
             brakke_residual(states, model.eps, model, phi)
+
+    def test_phi_off_the_run_grid_rejected(self):
+        spec = GridSpec(2, 32)
+        states = equilibrium_run(spec)
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
+        with pytest.raises(InputError):
+            brakke_residual(states, model.eps, model, bump_field(GridSpec(2, 16)))
+
+    def test_eps_must_match_the_model(self):
+        # mu_of_phi reads eps while the flow runs at model.eps.
+        spec = GridSpec(2, 32)
+        states = equilibrium_run(spec)
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
+        with pytest.raises(InputError):
+            brakke_residual(states, 0.06, model, bump_field(spec))
+
+    def test_run_series_phi_contract(self):
+        # A run's series integrate a static, nonnegative phi on the run's grid.
+        n = 64
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 4.0 / n, 2)
+        spec = GridSpec(2, n)
+        scn = Scenario(
+            geometry=Disk(radius=0.3), model=model, grid=spec,
+            dt=spec.h**2, t_end=4 * spec.h**2, snapshot_every=2,
+        )
+        bump = bump_field(spec)
+        with pytest.raises(ValueError):
+            run_simulation(scn, brakke_phis={"bump": (bump, bump)})
+        for phi in (ScalarField.constant(spec, -1.0), bump_field(GridSpec(2, 32))):
+            with pytest.raises(InputError):
+                run_simulation(scn, brakke_phis={"phi": (phi, None)})
 
     def test_nan_time_rejected(self):
         spec = GridSpec(2, 32)

@@ -1,5 +1,10 @@
 """Command-line interface: config parsing, subcommands, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import write_raw_snapshot
@@ -89,11 +94,25 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "energy total" in out and "PASS" in out
 
-    def test_diagnose_with_test_field(self, run_dir, capsys):
+    def test_diagnose_with_test_field(self, run_dir, capsys, monkeypatch):
+        # One flow evaluation serves the printed rate and the variation report.
+        import mpfc.dynamics
+
+        original = mpfc.dynamics.flow
+        calls = []
+
+        def counted(state, model):
+            calls.append(state.time)
+            return original(state, model)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mpfc" and getattr(module, "flow", None) is original:
+                monkeypatch.setattr(module, "flow", counted)
         snap = sorted(run_dir.glob("snap_*.mpfc"))[-1]
         assert main(["diagnose", str(snap), "--test-field", "radial"]) == 0
         out = capsys.readouterr().out
         assert "kinetic form" in out
+        assert len(calls) == 1
 
     def test_diagnose_invalid_snapshot_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.mpfc"
@@ -140,3 +159,18 @@ class TestSubcommands:
 
     def test_missing_config_exit_2(self):
         assert main(["simulate", "/nonexistent/path.cfg", "--out", "/tmp/x"]) == 2
+
+
+def test_import_loads_no_scipy():
+    # The runtime depends on numpy alone; scipy serves only as a test oracle.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, mpfc, mpfc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -198,7 +198,7 @@ class TestFirstVariation:
     def test_constant_field_gives_zero_varifold_form(self):
         state, model = self.setup_disk()
         gfield = constant_vector_field(state.spec, (1.0, 0.0))
-        report = first_variation(state, model, gfield, "e1")
+        report = first_variation(state, model, flow(state, model), gfield)
         assert report.first_variation == 0.0
         # translation invariance: the chemical form is pure discretization error
         assert abs(report.chemical_form) < 5e-3
@@ -212,7 +212,8 @@ class TestFirstVariation:
                 self.off_center_disk(n, eps), model, max_violation=np.inf
             )
             gfield = constant_vector_field(state.spec, (1.0, 0.0))
-            vals.append(abs(first_variation(state, model, gfield).chemical_form))
+            report = first_variation(state, model, flow(state, model), gfield)
+            vals.append(abs(report.chemical_form))
         # translation invariance: decays at least second order under refinement
         assert vals[0] / vals[1] >= 3.5
         assert vals[1] / vals[2] >= 3.5
@@ -231,7 +232,7 @@ class TestFirstVariation:
         from mpfc.grid import VectorField
 
         gfield = VectorField(state.spec, gvals)
-        report = first_variation(state, model, gfield, "axial")
+        report = first_variation(state, model, flow(state, model), gfield)
         assert abs(report.first_variation) <= 1e-6
 
     def test_disk_chemical_form_matches_circle_curvature(self):
@@ -239,8 +240,8 @@ class TestFirstVariation:
         # -(2 pi r)(1/r) to the pairing with the unit inward field, so the
         # chemical form is -4 pi up to O(eps^2/r^2) + O(h^2) corrections.
         state, model = self.setup_disk(n=256, radius=0.25)
-        gfield = radial_vector_field(state.spec, inward=True)
-        report = first_variation(state, model, gfield, "radial")
+        gfield = radial_vector_field(state.spec)
+        report = first_variation(state, model, flow(state, model), gfield)
         assert report.chemical_form == pytest.approx(-4.0 * np.pi, rel=0.10)
         # kinetic and chemical forms agree up to the multiplier term, which
         # vanishes on sum-projected states
@@ -269,7 +270,7 @@ class TestFirstVariation:
     def test_kinetic_minus_chemical_is_exactly_the_multiplier_term(self):
         state, model = projected_sphere_state(n=64, seed=5)
         gfield = random_smooth_vector_field(state.spec, seed=17)
-        report = first_variation(state, model, gfield)
+        report = first_variation(state, model, flow(state, model), gfield)
         expected = self.sphere_multiplier_defect(state, model, gfield)
         resid = report.residuals["kinetic_minus_chemical"]
         assert resid == pytest.approx(expected, abs=1e-12 * (1 + abs(expected)))
@@ -291,7 +292,7 @@ class TestFirstVariation:
             )
             model = ModelSpec(ModelKind.SPHERE_LL, eps, 3)
             gfield = random_smooth_vector_field(spec, seed=17)
-            report = first_variation(state, model, gfield)
+            report = first_variation(state, model, flow(state, model), gfield)
             vals.append(abs(report.residuals["kinetic_minus_chemical"]))
         assert 2.5 <= vals[0] / vals[1] <= 6.0
         assert 2.5 <= vals[1] / vals[2] <= 6.0
@@ -311,7 +312,7 @@ class TestMeanCurvatureProxy:
         model = ModelSpec(ModelKind.MEAN_SHIFT, eps, 2)
         state = project_constraint(disk_state(n, eps, 0.25), model, max_violation=np.inf)
         density, bound = mean_curvature_proxy(state, model)
-        gfield = radial_vector_field(state.spec, inward=True)
+        gfield = radial_vector_field(state.spec)
         pairing = integrate_raw(
             np.sum(density.values * gfield.values, axis=0), state.spec.h, state.spec.d
         )

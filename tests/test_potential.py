@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expit
 
 from mpfc.errors import InputError
 from mpfc.potential import (
@@ -71,7 +72,8 @@ class TestProfileTransform:
         assert profile_transform(0.5) == pytest.approx(0.5, rel=1e-14)
 
     def test_inverse_roundtrip(self):
-        for s in np.arange(0.1, 0.95, 0.1):
+        # The ends are where G is flat and the inverse loses digits.
+        for s in [*np.arange(0.1, 0.95, 0.1), 1e-4, 1e-3, 1 - 1e-3, 1 - 1e-4]:
             y = float(profile_transform(s))
             assert profile_transform_inverse(y) == pytest.approx(s, abs=1e-12)
 
@@ -130,6 +132,12 @@ class TestOptimalProfile:
     def test_requires_positive_eps(self):
         with pytest.raises(ValueError):
             optimal_profile(0.0, 0.0)
+
+    def test_matches_expit(self):
+        # Same formula; only the exp implementations may differ in the last bits.
+        eps = 0.03
+        z = eps * np.append(np.linspace(-800.0, 800.0, 16001), 0.0)
+        np.testing.assert_array_max_ulp(optimal_profile(z, eps), expit(z / eps), maxulp=4)
 
     def test_equipartition_with_analytic_derivative(self):
         # eps q' = q (1 - q) exactly, so eps q'^2/2 - W(q)/eps vanishes.
