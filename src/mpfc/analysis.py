@@ -289,7 +289,8 @@ def _check_test_function(phi: ScalarField, spec: GridSpec) -> None:
 
 def mu_of_phi(state: PhaseField, eps: float, phi_values: np.ndarray) -> float:
     """int phi d(mu_t) for a nonnegative test function sampled on the grid."""
-    return g.integrate_raw(phi_values * _densities(state, eps)[0], state.spec.h, state.spec.d)
+    energy = SIGMA_INV * sum(energy_densities(state, eps)[1])
+    return g.integrate_raw(phi_values * energy, state.spec.h, state.spec.d)
 
 
 def brakke_rhs_integrand(

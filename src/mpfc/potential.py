@@ -41,13 +41,27 @@ SIGMA = 1.0 / 6.0
 def double_well(s):
     """W(s) = (1-s)^2 s^2 / 2."""
     s = np.asarray(s, dtype=np.float64)
-    return 0.5 * np.square(s) * np.square(1.0 - s)
+    # (0.5 s^2) (1-s)^2 in two allocations.  On a 0-d input the results are
+    # numpy scalars and the augmented assignments rebind instead.
+    out = s * s
+    out *= 0.5
+    t = 1.0 - s
+    t *= t
+    out *= t
+    return out
 
 
 def double_well_prime(s):
     """W'(s) = s (1-s) (1-2s)."""
     s = np.asarray(s, dtype=np.float64)
-    return s * (1.0 - s) * (1.0 - 2.0 * s)
+    # (s (1-s)) (1-2s) in two allocations; 1 - 2s is formed as -2s + 1, which
+    # IEEE rounding makes the same value.
+    out = 1.0 - s
+    out *= s
+    t = s * -2.0
+    t += 1.0
+    out *= t
+    return out
 
 
 def sqrt_double_well(s):

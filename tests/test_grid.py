@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 
+import mpfc.grid
+from conftest import disk_state, strip_state
+from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, flow, max_neighbor_jump
+from mpfc.errors import SolverFailureError
 from mpfc.grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    grad_dot_raw,
     gradient,
+    gradient_raw,
     helmholtz_solve,
+    helmholtz_solve_raw,
     integrate,
     laplacian,
+    laplacian_raw,
     stencil_symbol,
 )
 
@@ -211,3 +219,115 @@ class TestInvariants:
         assert isinstance(g, VectorField)
         c = g.component(1)
         assert np.array_equal(c.values, g.values[1])
+
+
+# np.roll forms of the stencils, the reference the slicing kernels must match
+# bitwise: same operands, same operations, same summation order.
+
+
+def roll_laplacian(a, h, axis_offset=0):
+    d = a.ndim - axis_offset
+    out = np.zeros_like(a)
+    for ax in range(axis_offset, axis_offset + d):
+        out += np.roll(a, -1, axis=ax) + np.roll(a, 1, axis=ax)
+    out -= 2.0 * d * a
+    out /= h * h
+    return out
+
+
+def roll_gradient(a, h):
+    inv = 1.0 / (2.0 * h)
+    return [(np.roll(a, -1, axis=ax) - np.roll(a, 1, axis=ax)) * inv for ax in range(a.ndim)]
+
+
+def roll_grad_dot(a, b, h):
+    out = np.zeros(a.shape)
+    for ax in range(out.ndim):
+        p = (np.roll(a, -1, axis=ax) - a) * (np.roll(b, -1, axis=ax) - b)
+        out += p + np.roll(p, 1, axis=ax)
+    out *= 0.5 / (h * h)
+    return out
+
+
+def roll_max_jump(u):
+    return max(float(np.max(np.abs(np.roll(u, -1, axis=ax) - u))) for ax in range(1, u.ndim))
+
+
+# n = 8 is the smallest grid, where the two wrap faces are a quarter of the
+# rows.  The large 3D case is n = 64: one 256^3 array alone is 134 MB.
+@pytest.mark.parametrize("d, n", [(2, 8), (2, 256), (3, 8), (3, 64)])
+class TestSliceKernelsMatchRoll:
+    def fields(self, d, n, lead=()):
+        rng = np.random.default_rng(10 * d + n)
+        return rng.normal(size=lead + (n,) * d), rng.normal(size=lead + (n,) * d)
+
+    def test_laplacian_single_and_stacked(self, d, n):
+        h = 1.0 / n
+        a, _ = self.fields(d, n)
+        assert np.array_equal(laplacian_raw(a, h), roll_laplacian(a, h))
+        stack, _ = self.fields(d, n, lead=(2,))
+        assert np.array_equal(laplacian_raw(stack, h, 1), roll_laplacian(stack, h, 1))
+        out = np.empty_like(stack)
+        assert laplacian_raw(stack, h, 1, out=out) is out
+        assert np.array_equal(out, roll_laplacian(stack, h, 1))
+        assert np.array_equal(laplacian_raw(a.T, h), roll_laplacian(a.T, h))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            laplacian_raw(a, h, out=np.empty_like(a).T)
+
+    def test_gradient_and_grad_dot(self, d, n):
+        h = 1.0 / n
+        a, b = self.fields(d, n)
+        for got, want in zip(gradient_raw(a, h), roll_gradient(a, h), strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(grad_dot_raw(a, b, h), roll_grad_dot(a, b, h))
+        assert np.array_equal(grad_dot_raw(a, a, h), roll_grad_dot(a, a, h))
+
+    def test_max_neighbor_jump(self, d, n):
+        stack, _ = self.fields(d, n, lead=(2,))
+        state = PhaseField(GridSpec(d, n), stack)
+        assert max_neighbor_jump(state) == roll_max_jump(stack)
+
+
+class TestScratchNeverEscapes:
+    """Per-thread scratch holds only temporaries; every returned array is fresh."""
+
+    def test_laplacian_calls_return_distinct_arrays(self):
+        spec = GridSpec(2, 32)
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 2) + spec.shape)
+        first = laplacian_raw(a, spec.h, 1)
+        kept = first.copy()
+        second = laplacian_raw(b, spec.h, 1)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    def test_earlier_solve_output_unchanged_by_later_solve(self):
+        spec = GridSpec(2, 32)
+        rng = np.random.default_rng(5)
+        r1, r2 = rng.normal(size=(2, 3) + spec.shape)
+        x1 = helmholtz_solve_raw(r1, 1.0, 0.01, spec)
+        kept = x1.copy()
+        x2 = helmholtz_solve_raw(r2, 1.0, 0.01, spec)
+        assert not np.shares_memory(x1, x2)
+        assert np.array_equal(x1, kept)
+
+    def test_flow_eval_unchanged_by_later_flow_and_solve(self):
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 8.0 / 64, 2)
+        fe = flow(disk_state(n=64), model)
+        kept = [np.copy(x) for x in fe]
+        flow(strip_state(n=64), model)
+        helmholtz_solve_raw(np.ones((2, 64, 64)), 1.0, 0.01, GridSpec(2, 64))
+        for field, before in zip(fe, kept, strict=True):
+            assert np.array_equal(field, before)
+
+
+def test_helmholtz_residual_contract_fires(monkeypatch):
+    # A solve that inverts a 0.1 % wrong symbol leaves a residual far above
+    # the 1e-10 certificate, which must raise rather than return.
+    spec = GridSpec(2, 32)
+    true_symbol = stencil_symbol(spec)
+    monkeypatch.setattr(mpfc.grid, "stencil_symbol", lambda s: 1.001 * true_symbol)
+    x, y = spec.meshgrid()
+    rhs = np.cos(2 * np.pi * x) + 0.5 * np.sin(2 * np.pi * 3 * y)
+    with pytest.raises(SolverFailureError, match=r"helmholtz residual .* exceeds 1e-10 \* max\|rhs\|"):
+        helmholtz_solve_raw(rhs, 1.0, 1e-3, spec)

@@ -32,6 +32,26 @@ class TestDoubleWell:
         assert np.all(double_well(s) > 0)
 
 
+class TestInPlaceEvaluationOrder:
+    """W and W' are built in place but keep the operation order of the plain formulas."""
+
+    def inputs(self):
+        rng = np.random.default_rng(8)
+        return [rng.uniform(-0.5, 1.5, size=(3, 64, 64)), np.linspace(-2.0, 3.0, 101)]
+
+    def test_arrays_bitwise(self):
+        for s in self.inputs():
+            assert np.array_equal(double_well(s), 0.5 * np.square(s) * np.square(1.0 - s))
+            assert np.array_equal(double_well_prime(s), s * (1.0 - s) * (1.0 - 2.0 * s))
+
+    def test_scalars_stay_floats(self):
+        for s in (0.5, 0.3, -0.25, 1.75, np.float64(0.1)):
+            w, wp = double_well(s), double_well_prime(s)
+            assert isinstance(w, float) and isinstance(wp, float)
+            assert np.array_equal(w, 0.5 * np.square(s) * np.square(1.0 - s))
+            assert np.array_equal(wp, s * (1.0 - s) * (1.0 - 2.0 * s))
+
+
 class TestDoubleWellPrime:
     def test_critical_points(self):
         assert np.all(double_well_prime(np.array([0.0, 0.5, 1.0])) == 0.0)
