@@ -314,11 +314,20 @@ def brakke_rhs_integrand(
     dphi = np.asarray(dphi_dt_values)
     if dphi.ndim > 0 or dphi != 0.0:
         value += mu_of_phi(state, eps, dphi)
-    value -= SIGMA_INV * eps * g.integrate_raw(phi_values * np.sum(du * du, axis=0), h, d)
-    cross = np.zeros(state.spec.shape)
+    # Per-phase terms accumulate from zero in phase order, which is how
+    # np.sum(., axis=0) adds a stack, so both sums are bitwise those.
+    total = g._scratch(state.spec.shape, "brakke_total")
+    term = g._scratch(state.spec.shape, "brakke_term")
+    total.fill(0.0)
     for i in range(state.n_phases):
-        cross += du[i] * g.grad_dot_raw(phi_values, state.values[i], h)
-    value -= SIGMA_INV * eps * g.integrate_raw(cross, h, d)
+        total += np.multiply(du[i], du[i], out=term)
+    total *= phi_values
+    value -= SIGMA_INV * eps * g.integrate_raw(total, h, d)
+    total.fill(0.0)
+    for i in range(state.n_phases):
+        total += np.multiply(g.grad_dot_raw(phi_values, state.values[i], h, out=term), du[i],
+                             out=term)
+    value -= SIGMA_INV * eps * g.integrate_raw(total, h, d)
     return value
 
 

@@ -77,7 +77,10 @@ class MeasureSample:
 def _grad_sq(state: PhaseField) -> np.ndarray:
     """Stacked ``grid.grad_dot_raw(u_i, u_i)``, the squared-gradient density per phase."""
     h = state.spec.h
-    return np.stack([g.grad_dot_raw(ui, ui, h) for ui in state.values])
+    grad_sq = np.empty(state.values.shape)
+    for ui, out in zip(state.values, grad_sq):
+        g.grad_dot_raw(ui, ui, h, out=out)
+    return grad_sq
 
 
 def energy_densities(

@@ -51,7 +51,12 @@ from .errors import (
     ProjectionSingularError,
 )
 from .grid import GridSpec, ScalarField
-from .potential import SIGMA, double_well_prime, sqrt_double_well, well_primitive
+from .potential import (
+    SIGMA,
+    _double_well_prime_into,
+    _sqrt_double_well_into,
+    _well_primitive_into,
+)
 
 __all__ = [
     "ModelKind",
@@ -73,6 +78,12 @@ __all__ = [
 ]
 
 SIGMA_INV = 1.0 / SIGMA
+
+# The step's temporaries live in per-thread scratch (``grid._scratch``).  The
+# slots "stack_a", "stack_b", "stack_c" (float) and "stack_mask" (bool) have
+# the state's shape and are shared by the functions of this module: each one
+# fills them and reads them back before it returns, and holds none across a
+# call that uses them.  Arrays a caller receives are fresh allocations.
 
 
 class ModelKind(str, enum.Enum):
@@ -160,14 +171,29 @@ def _check_state(state: PhaseField, model: ModelSpec) -> None:
         )
 
 
+def _constraint_defect(u: np.ndarray, model: ModelSpec, out: np.ndarray) -> np.ndarray:
+    """``constraint_values`` of the phases ``u``, written to ``out``."""
+    if model.kind == ModelKind.SPHERE_LL:
+        np.sum(np.multiply(u, u, out=g._scratch(u.shape, "stack_a")), axis=0, out=out)
+        out -= 1.0
+    elif model.kind == ModelKind.WEIGHTED_SQUARE:
+        k = _well_primitive_into(
+            u,
+            g._scratch(u.shape, "stack_a"),
+            g._scratch(u.shape, "stack_b"),
+            g._scratch(u.shape, "stack_mask", bool),
+        )
+        np.sum(k, axis=0, out=out)
+        out -= 1.0 / 6.0
+    else:
+        np.sum(u, axis=0, out=out)
+        out -= 1.0
+    return out
+
+
 def constraint_values(state: PhaseField, model: ModelSpec) -> np.ndarray:
     """Pointwise deviation of the model's conserved quantity from its target."""
-    u = state.values
-    if model.kind == ModelKind.SPHERE_LL:
-        return np.sum(u * u, axis=0) - 1.0
-    if model.kind == ModelKind.WEIGHTED_SQUARE:
-        return np.sum(well_primitive(u), axis=0) - 1.0 / 6.0
-    return np.sum(u, axis=0) - 1.0
+    return _constraint_defect(state.values, model, np.empty(state.spec.shape))
 
 
 def constraint_violation(state: PhaseField, model: ModelSpec) -> float:
@@ -175,7 +201,14 @@ def constraint_violation(state: PhaseField, model: ModelSpec) -> float:
 
 
 def _chemical_potential(u: np.ndarray, lap: np.ndarray, eps: float) -> np.ndarray:
-    return -eps * lap + double_well_prime(u) / eps
+    """-eps lap + W'(u)/eps in that order, as a fresh array; W' lives in scratch."""
+    mu = np.multiply(-eps, lap)
+    w_prime = _double_well_prime_into(
+        u, g._scratch(u.shape, "stack_a"), g._scratch(u.shape, "stack_b")
+    )
+    w_prime /= eps
+    mu += w_prime
+    return mu
 
 
 def chemical_potential(u_i: ScalarField, eps: float) -> ScalarField:
@@ -196,39 +229,51 @@ def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
     _check_state(state, model)
     u = state.values
     eps = model.eps
+    grid_shape = state.spec.shape
     floored_fraction = 0.0
     # Overflow in the polynomial terms is legitimate blow-up; it surfaces via
     # the finiteness check after stepping, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         lap = g.laplacian_raw(u, state.spec.h, axis_offset=1)
         mu = _chemical_potential(u, lap, eps)
+        stack_a, stack_b = g._scratch(u.shape, "stack_a"), g._scratch(u.shape, "stack_b")
 
+        # The coupling is formed in du, which then becomes (coupling - mu) / eps.
         if model.kind == ModelKind.SPHERE_LL:
-            lam = np.sum(u * mu, axis=0)
-            coupling = lam[None] * u
+            lam = np.sum(np.multiply(u, mu, out=stack_a), axis=0)
+            du = np.multiply(lam[None], u)
         elif model.kind == ModelKind.MEAN_SHIFT:
             lam = np.mean(mu, axis=0)
-            coupling = lam[None]
+            du = np.empty(u.shape)
+            du[...] = lam[None]
         else:
-            weight = sqrt_double_well(u)
+            weight = _sqrt_double_well_into(u, stack_a)
+            num = g._scratch(grid_shape, "flow_num")
+            den = g._scratch(grid_shape, "flow_den")
             if model.kind == ModelKind.WEIGHTED_SUM:
-                num = np.sum(mu, axis=0)
-                den = np.sum(weight, axis=0)
+                np.sum(mu, axis=0, out=num)
+                np.sum(weight, axis=0, out=den)
             else:  # WEIGHTED_SQUARE
-                num = np.sum(weight * mu, axis=0)
-                den = np.sum(weight * weight, axis=0)
+                np.sum(np.multiply(weight, mu, out=stack_b), axis=0, out=num)
+                np.sum(np.multiply(weight, weight, out=stack_b), axis=0, out=den)
 
-            floored = den < model.denom_floor
+            floored = np.less(den, model.denom_floor,
+                              out=g._scratch(grid_shape, "flow_floored", bool))
             if model.denom_floor == 0.0 and np.any(den == 0.0):
                 cell = tuple(int(i) for i in np.argwhere(den == 0.0)[0])
                 raise DegenerateDenominatorError(
                     f"zero multiplier denominator at cell {cell} with denom_floor=0", cell
                 )
-            lam = np.where(floored, 0.0, num / np.where(floored, 1.0, den))
-            coupling = lam[None] * weight
+            np.copyto(den, 1.0, where=floored)
+            lam = np.divide(num, den)
+            np.copyto(lam, 0.0, where=floored)
+            du = np.multiply(lam[None], weight)
             floored_fraction = float(np.mean(floored))
-    du = (coupling - mu) / eps
-    rate = SIGMA_INV * eps * g.integrate_raw(np.sum(du * du, axis=0), state.spec.h, state.spec.d)
+    du -= mu
+    du /= eps
+    # |du|^2 summed over phases into the first plane of the spent stack b.
+    du_sq = np.sum(np.multiply(du, du, out=stack_a), axis=0, out=stack_b[0])
+    rate = SIGMA_INV * eps * g.integrate_raw(du_sq, state.spec.h, state.spec.d)
     return FlowEval(du, lap, mu, lam, floored_fraction, rate)
 
 
@@ -294,10 +339,14 @@ def advance(
     check_scheme(state.spec, model, dt, scheme)
     u = state.values
     if scheme == "ExplicitEuler":
-        new = u + dt * fe.rhs
+        new = np.multiply(dt, fe.rhs)
+        new += u
     else:
-        explicit = fe.rhs - fe.lap
-        new = g.helmholtz_solve_raw(u + dt * explicit, 1.0, dt, state.spec)
+        # u + dt (rhs - lap), formed in scratch.
+        imex_rhs = np.subtract(fe.rhs, fe.lap, out=g._scratch(u.shape, "stack_a"))
+        imex_rhs *= dt
+        imex_rhs += u
+        new = g.helmholtz_solve_raw(imex_rhs, 1.0, dt, state.spec)
     if not np.isfinite(new).all():
         raise BlowUpError("non-finite values after step", time=state.time + dt)
     out = PhaseField(state.spec, new, state.time + dt)
@@ -345,43 +394,100 @@ def _project_weighted_square(
     Cells already on the manifold (|f(0)| <= 1e-13) keep t = 0 exactly: near
     wells the defect is quadratic in t and floating point flattens it, so a
     root search would wander to the plateau edge instead of staying put.
+
+    The iteration works in prefix views of per-thread scratch sized to the
+    cell count: vectors over the m cells still iterating, and (N, m) blocks of
+    the stacked slots.  ``np.take`` copies when its output overlaps its
+    source, so compaction gathers into a spent buffer and the names trade
+    buffers; the cell indices alternate between the array ``np.flatnonzero``
+    returned and one scratch buffer.
     """
     target = 1.0 / 6.0
-    shift = np.zeros(defect.size)
-    cells = np.flatnonzero(np.abs(defect) > 1e-13)
-    v = np.take(u.reshape(u.shape[0], -1), cells, axis=1)
-    f = defect.ravel()[cells]
+    n_phases, size = u.shape[0], defect.size
+    flat_u = u.reshape(n_phases, -1)
+    stack_a, stack_b, stack_c = (
+        g._scratch(u.shape, "stack_" + slot).reshape(-1) for slot in "abc"
+    )
+    stack_mask = g._scratch(u.shape, "stack_mask", bool).reshape(-1)
 
-    side = np.where(f > 0.0, -0.5, 0.5)
+    def vector(slot, dtype=np.float64):
+        return g._scratch((size,), "project_" + slot, dtype)
+
+    def block(buf, m):
+        return buf[: n_phases * m].reshape(n_phases, m)
+
+    def phases_at(cells, m):
+        # mode="clip" (the indices are valid) keeps take from buffering its output.
+        return np.take(flat_u, cells, axis=1, out=block(stack_a, m), mode="clip")
+
+    def primitive_sum(s, m, out):
+        k = _well_primitive_into(s, block(stack_b, m), block(stack_c, m), block(stack_mask, m))
+        np.sum(k, axis=0, out=out)
+        out -= target
+        return out
+
+    # F ... TMP are whole per-cell buffers that trade roles; f, t, lo, hi and
+    # the other lower-case names are prefix views over the m cells iterating.
+    F, FP, T, LO, HI, NEW, TMP, shift = (
+        vector(slot) for slot in ("f", "fprime", "t", "lo", "hi", "new", "tmp", "shift")
+    )
+    MASK, DONE, spare = vector("mask", bool), vector("done", bool), vector("cells", np.intp)
+    shift.fill(0.0)
+    flat_defect = defect.reshape(-1)
+    cells_buf = np.flatnonzero(np.greater(np.abs(flat_defect, out=F), 1e-13, out=MASK))
+    cells, m = cells_buf, cells_buf.size
+    f = np.take(flat_defect, cells, out=F[:m], mode="clip")
+
+    side = HI[:m]
+    side.fill(0.5)
+    np.copyto(side, -0.5, where=np.greater(f, 0.0, out=MASK[:m]))
+    sign_f = np.sign(f, out=LO[:m])
+    short = DONE[:m]
     for _ in range(12):
-        short = np.sign(np.sum(well_primitive(v + side), axis=0) - target) == np.sign(f)
-        if not short.any():
+        s = phases_at(cells, m)
+        s += side
+        total = np.sign(primitive_sum(s, m, NEW[:m]), out=NEW[:m])
+        if not np.equal(total, sign_f, out=short).any():
             break
-        side = np.where(short, 2.0 * side, side)
+        np.multiply(side, 2.0, out=side, where=short)
     else:
         raise ProjectionError("bracket failure in weighted-square projection")
-    lo = np.minimum(side, 0.0)
-    hi = np.maximum(side, 0.0)
+    np.minimum(side, 0.0, out=LO[:m])
+    np.maximum(side, 0.0, out=HI[:m])
 
-    t = np.zeros(cells.size)
-    fprime = np.sum(sqrt_double_well(v), axis=0)
+    T[:m] = 0.0
+    np.sum(_sqrt_double_well_into(phases_at(cells, m), block(stack_b, m)), axis=0, out=FP[:m])
     for _ in range(max_iter):
-        hi = np.where(f >= 0.0, t, hi)
-        lo = np.where(f <= 0.0, t, lo)
+        t, lo, hi, f, fprime = T[:m], LO[:m], HI[:m], F[:m], FP[:m]
+        new, tmp, mask, done = NEW[:m], TMP[:m], MASK[:m], DONE[:m]
+        np.copyto(hi, t, where=np.greater_equal(f, 0.0, out=mask))
+        np.copyto(lo, t, where=np.less_equal(f, 0.0, out=mask))
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = t - f / fprime
-        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        done = np.abs(new - t) <= tol
-        t = new
-        shift[cells[done]] = t[done]
-        keep = ~done
-        cells, t, lo, hi = cells[keep], t[keep], lo[keep], hi[keep]
-        if cells.size == 0:
+            np.subtract(t, np.divide(f, fprime, out=new), out=new)
+        # Where new is outside [lo, hi] (or not finite) take 0.5 (lo + hi).
+        np.greater_equal(new, lo, out=mask)
+        mask &= np.less_equal(new, hi, out=done)
+        np.multiply(np.add(lo, hi, out=tmp), 0.5, out=tmp)
+        np.copyto(new, tmp, where=np.logical_not(mask, out=mask))
+        np.less_equal(np.abs(np.subtract(new, t, out=tmp), out=tmp), tol, out=done)
+        # Every iterating cell's latest t; the last write is the one where it is done.
+        shift[cells] = new
+        keep = np.flatnonzero(np.logical_not(done, out=done))  # the one allocation
+        m = keep.size
+        if m == 0:
             return u + shift.reshape(defect.shape)[None]
-        v = np.compress(keep, v, axis=1)
-        s = v + t
-        f = np.sum(well_primitive(s), axis=0) - target
-        fprime = np.sum(sqrt_double_well(s), axis=0)
+        np.take(cells, keep, out=spare[:m], mode="clip")
+        cells_buf, spare = spare, cells_buf
+        cells = cells_buf[:m]
+        np.take(new, keep, out=T[:m], mode="clip")
+        np.take(lo, keep, out=TMP[:m], mode="clip")
+        LO, TMP = TMP, LO
+        np.take(hi, keep, out=F[:m], mode="clip")
+        HI, F = F, HI
+        s = phases_at(cells, m)
+        s += T[:m]
+        primitive_sum(s, m, F[:m])
+        np.sum(_sqrt_double_well_into(s, block(stack_b, m)), axis=0, out=FP[:m])
     raise ProjectionError(
         f"weighted-square Newton iteration did not reach tol={tol} in {max_iter} iterations"
     )
@@ -400,21 +506,24 @@ def project_constraint(
     ``max_violation=inf`` for initial-data projection).
     """
     _check_state(state, model)
-    defect = constraint_values(state, model)
-    violation = float(np.max(np.abs(defect)))
+    u = state.values
+    defect = _constraint_defect(u, model, g._scratch(state.spec.shape, "project_defect"))
+    violation = float(max(np.max(defect), -np.min(defect)))
     if violation > max_violation * (1.0 + 1e-12):
         raise ProjectionError(
             f"state is {violation:.3e} from the constraint manifold "
             f"(limit {max_violation:.3e})"
         )
-    u = state.values
     if model.kind == ModelKind.SPHERE_LL:
-        norm = np.sqrt(np.sum(u * u, axis=0))
+        # The norm reuses the spent defect buffer.
+        norm = np.sum(np.multiply(u, u, out=g._scratch(u.shape, "stack_a")), axis=0, out=defect)
+        np.sqrt(norm, out=norm)
         if np.any(norm < 1e-150):
             raise ProjectionSingularError("zero phase vector: radial projection undefined")
         new = u / norm[None]
     elif model.kind == ModelKind.WEIGHTED_SQUARE:
         new = _project_weighted_square(u, defect)
     else:
-        new = u - defect[None] / model.n_phases
+        defect /= model.n_phases
+        new = u - defect[None]
     return state.with_values(new)

@@ -15,8 +15,12 @@ n^d points x_k = k*h with h = 1/n.  All operators wrap periodically:
 
 Every stencil is a slicing kernel (``_periodic_pair``) with the summation
 order of its ``np.roll`` form, so every value equals that form's.
-Temporaries that never leave a function live in per-thread scratch
-(``_scratch``); every array a caller receives is freshly allocated.
+
+Temporaries of the time step live in per-thread scratch (``_scratch``), which
+this module, ``dynamics`` and ``analysis`` share.  The rule: a scratch buffer
+never leaves the function that fills it.  Every array a caller receives (a
+stencil's result, a solve's output, a ``FlowEval`` field, a new state) is
+freshly allocated, so a later call cannot change it.
 
 ``helmholtz_solve`` inverts (a*I - b*Lap_h) by diagonalizing the exact stencil
 symbol with the FFT, so its Laplacian matches ``laplacian`` to round-off.
@@ -165,16 +169,19 @@ class _Scratch(threading.local):
 _scratch_local = _Scratch()
 
 
-def _scratch(shape: tuple[int, ...], slot: str) -> np.ndarray:
-    """This thread's float64 buffer for ``slot`` at ``shape``.
+def _scratch(shape: tuple[int, ...], slot: str, dtype=np.float64) -> np.ndarray:
+    """This thread's uninitialised ``dtype`` buffer for ``slot`` at ``shape``.
 
-    Only for temporaries that never leave the grid function that fills them:
-    the next call of that function overwrites the buffer.
+    A buffer never leaves the function that fills it: that function reads it
+    back before it returns, and holds it across no call that uses the same
+    slot.  The next call that asks for the slot overwrites it.  Buffers live
+    as long as the thread, one per (shape, slot, dtype).
     """
+    key = (shape, slot, np.dtype(dtype))
     buffers = _scratch_local.buffers
-    buf = buffers.get((shape, slot))
+    buf = buffers.get(key)
     if buf is None:
-        buf = buffers[(shape, slot)] = np.empty(shape)
+        buf = buffers[key] = np.empty(shape, dtype)
     return buf
 
 
@@ -214,13 +221,22 @@ def gradient_raw(a: np.ndarray, h: float) -> list[np.ndarray]:
     return grads
 
 
-def grad_dot_raw(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+def grad_dot_raw(
+    a: np.ndarray, b: np.ndarray, h: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Node density sum_ax (D+a D+b + D-a D-b) / 2 of two same-shape scalar arrays.
 
     The forward-difference product p lives on the edge (j, j+1); the backward
     product at node j is p at j-1, so each node averages its two edges.
+    ``out``, if given, is a C-contiguous float64 array of ``a``'s shape; it is
+    zeroed and accumulated into, as a fresh result would be.
     """
-    out = np.zeros(a.shape)
+    if out is None:
+        out = np.zeros(a.shape)
+    elif not (out.flags.c_contiguous and out.shape == a.shape):
+        raise ValueError("grad_dot_raw needs a C-contiguous out of the input's shape")
+    else:
+        out.fill(0.0)
     p = _scratch(a.shape, "grad_dot_p")
     q = _scratch(a.shape, "grad_dot_q")
     for ax in range(out.ndim):
@@ -292,15 +308,24 @@ def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec) -> 
         raise ValueError(f"helmholtz_solve requires b >= 0, got b={b}")
     axis_offset = rhs.ndim - spec.d
     axes = tuple(range(axis_offset, rhs.ndim))
-    denom = a - b * stencil_symbol(spec)
-    spectrum = np.fft.rfftn(rhs, axes=axes)
+    symbol = stencil_symbol(spec)
+    denom = np.multiply(b, symbol, out=_scratch(symbol.shape, "helmholtz_denom"))
+    np.subtract(a, denom, out=denom)
+    spectrum = _scratch(rhs.shape[:axis_offset] + symbol.shape, "helmholtz_spectrum",
+                        np.complex128)
+    np.fft.rfftn(rhs, axes=axes, out=spectrum)
     spectrum /= denom
-    x = np.fft.irfftn(spectrum, s=spec.shape, axes=axes)
-    # residual = a x - b Lap x - rhs, in that order, in scratch.
-    residual = np.multiply(x, a, out=_scratch(x.shape, "residual"))
-    b_lap = laplacian_raw(x, spec.h, axis_offset, out=_scratch(x.shape, "residual_lap"))
-    b_lap *= b
-    residual -= b_lap
+    # irfftn's own sequence, with the complex inverses in place: ifft along
+    # every axis but the last, then irfft along the last into a fresh x.
+    for ax in axes[:-1]:
+        np.fft.ifft(spectrum, axis=ax, out=spectrum)
+    x = np.fft.irfft(spectrum, n=spec.n, axis=axes[-1])
+    # residual = a x - b Lap x - rhs, in that order: b Lap x in the residual
+    # buffer, a x in the Laplacian's neighbour-sum buffer, free once it returns.
+    residual = laplacian_raw(x, spec.h, axis_offset, out=_scratch(x.shape, "residual"))
+    residual *= b
+    a_x = np.multiply(x, a, out=_scratch(x.shape, "laplacian"))
+    np.subtract(a_x, residual, out=residual)
     residual -= rhs
     worst = float(np.max(np.abs(residual, out=residual)))
     bound = 1e-10 * max(np.max(rhs), -np.min(rhs), np.finfo(np.float64).tiny)

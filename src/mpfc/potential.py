@@ -54,20 +54,36 @@ def double_well(s):
 def double_well_prime(s):
     """W'(s) = s (1-s) (1-2s)."""
     s = np.asarray(s, dtype=np.float64)
-    # (s (1-s)) (1-2s) in two allocations; 1 - 2s is formed as -2s + 1, which
-    # IEEE rounding makes the same value.
-    out = 1.0 - s
+    out = _double_well_prime_into(s, np.empty(s.shape), np.empty(s.shape))
+    return out if out.ndim else out[()]
+
+
+def _double_well_prime_into(s: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """W'(s) written to ``out`` as (s (1-s)) (1-2s), with ``tmp`` as work space.
+
+    1 - 2s is formed as -2s + 1, which IEEE rounding makes the same value.
+    ``out`` and ``tmp`` are float64 arrays of s's shape.
+    """
+    np.subtract(1.0, s, out=out)
     out *= s
-    t = s * -2.0
-    t += 1.0
-    out *= t
+    np.multiply(s, -2.0, out=tmp)
+    tmp += 1.0
+    out *= tmp
     return out
 
 
 def sqrt_double_well(s):
     """sqrt(2 W(s)) = |s (1-s)|, the multiplier weight."""
     s = np.asarray(s, dtype=np.float64)
-    return np.abs(s * (1.0 - s))
+    out = _sqrt_double_well_into(s, np.empty(s.shape))
+    return out if out.ndim else out[()]
+
+
+def _sqrt_double_well_into(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|s (1-s)| written to ``out``, a float64 array of s's shape."""
+    np.subtract(1.0, s, out=out)
+    out *= s
+    return np.abs(out, out=out)
 
 
 def well_primitive(s):
@@ -79,11 +95,28 @@ def well_primitive(s):
         s >= 1:       s^3/3 - s^2/2 + 1/3
     """
     s = np.asarray(s, dtype=np.float64)
+    return _well_primitive_into(
+        s, np.empty(s.shape), np.empty(s.shape), np.empty(s.shape, dtype=bool)
+    )
+
+
+def _well_primitive_into(
+    s: np.ndarray, out: np.ndarray, tmp: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """k(s) written to ``out``, with float ``tmp`` and bool ``mask`` of s's shape as work space.
+
+    inner = (s s)(1/2 - s/3) everywhere, then -inner where s < 0 and
+    -inner + 1/3 (formed as 1/3 - inner, the same IEEE value) where s > 1.
+    """
     # Products, not s**3: numpy's pow is ~20x slower for negative bases,
     # which the weighted-square projection evaluates on every step.
-    inner = s * s * (0.5 - s / 3.0)
-    outer = -inner
-    return np.where(s < 0.0, outer, np.where(s > 1.0, outer + 1.0 / 3.0, inner))
+    np.divide(s, 3.0, out=tmp)
+    np.subtract(0.5, tmp, out=tmp)
+    np.multiply(s, s, out=out)
+    out *= tmp
+    np.negative(out, out=out, where=np.less(s, 0.0, out=mask))
+    np.subtract(1.0 / 3.0, out, out=out, where=np.greater(s, 1.0, out=mask))
+    return out
 
 
 def profile_transform(s):

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 import mpfc.grid
-from conftest import disk_state, strip_state
-from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, flow, max_neighbor_jump
+from conftest import disk_state, random_smooth_state, strip_state
+from mpfc.dynamics import (
+    ModelKind,
+    ModelSpec,
+    PhaseField,
+    advance,
+    flow,
+    max_neighbor_jump,
+    project_constraint,
+)
 from mpfc.errors import SolverFailureError
 from mpfc.grid import (
     GridSpec,
@@ -281,6 +289,23 @@ class TestSliceKernelsMatchRoll:
             assert np.array_equal(got, want)
         assert np.array_equal(grad_dot_raw(a, b, h), roll_grad_dot(a, b, h))
         assert np.array_equal(grad_dot_raw(a, a, h), roll_grad_dot(a, a, h))
+        out = np.full_like(a, np.nan)  # whatever out holds is overwritten
+        assert grad_dot_raw(a, b, h, out=out) is out
+        assert np.array_equal(out, roll_grad_dot(a, b, h))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            grad_dot_raw(a, b, h, out=np.empty_like(a).T)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            grad_dot_raw(a, b, h, out=np.empty((2,) + a.shape))
+
+    def test_helmholtz_matches_irfftn(self, d, n):
+        # The in-place inverse sequence against numpy's own irfftn.
+        spec = GridSpec(d, n)
+        rhs, _ = self.fields(d, n, lead=(2,))
+        a, b = 1.0, 0.37 * spec.h**2
+        axes = tuple(range(1, d + 1))
+        denom = a - b * stencil_symbol(spec)
+        want = np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) / denom, s=spec.shape, axes=axes)
+        assert np.array_equal(helmholtz_solve_raw(rhs, a, b, spec), want)
 
     def test_max_neighbor_jump(self, d, n):
         stack, _ = self.fields(d, n, lead=(2,))
@@ -310,6 +335,30 @@ class TestScratchNeverEscapes:
         x2 = helmholtz_solve_raw(r2, 1.0, 0.01, spec)
         assert not np.shares_memory(x1, x2)
         assert np.array_equal(x1, kept)
+
+    @pytest.mark.parametrize(
+        "kind, n_phases",
+        [(ModelKind.WEIGHTED_SQUARE, 3), (ModelKind.SPHERE_LL, 3), (ModelKind.MEAN_SHIFT, 2)],
+    )
+    def test_projection_and_advance_outputs_unchanged_by_later_ones(self, kind, n_phases):
+        spec = GridSpec(2, 32)
+        model = ModelSpec(kind, 8.0 / 32, n_phases)
+        first, second = (
+            project_constraint(
+                PhaseField(spec, random_smooth_state(spec, n_phases, seed).values + 0.2),
+                model, max_violation=np.inf,
+            )
+            for seed in (6, 7)
+        )
+        kept = first.values.copy()
+        project_constraint(PhaseField(spec, second.values + 0.01), model)
+        assert np.array_equal(first.values, kept)
+        dt = spec.h**2
+        stepped = advance(first, model, dt, "IMEX", flow(first, model), project=True)
+        kept = stepped.values.copy()
+        later = advance(second, model, dt, "IMEX", flow(second, model), project=True)
+        assert not np.shares_memory(stepped.values, later.values)
+        assert np.array_equal(stepped.values, kept)
 
     def test_flow_eval_unchanged_by_later_flow_and_solve(self):
         model = ModelSpec(ModelKind.MEAN_SHIFT, 8.0 / 64, 2)

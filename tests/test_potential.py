@@ -32,24 +32,37 @@ class TestDoubleWell:
         assert np.all(double_well(s) > 0)
 
 
+def plain_well_primitive(s):
+    inner = s * s * (0.5 - s / 3.0)
+    outer = -inner
+    return np.where(s < 0.0, outer, np.where(s > 1.0, outer + 1.0 / 3.0, inner))
+
+
 class TestInPlaceEvaluationOrder:
-    """W and W' are built in place but keep the operation order of the plain formulas."""
+    """W, W', g and k are built in place but keep the operation order of the plain formulas."""
 
     def inputs(self):
         rng = np.random.default_rng(8)
-        return [rng.uniform(-0.5, 1.5, size=(3, 64, 64)), np.linspace(-2.0, 3.0, 101)]
+        return [rng.uniform(-0.5, 1.5, size=(3, 64, 64)), np.linspace(-2.0, 3.0, 101),
+                np.array([-0.0, 0.0, 1.0, -1e-300, 1.0 + 1e-15])]
 
     def test_arrays_bitwise(self):
         for s in self.inputs():
             assert np.array_equal(double_well(s), 0.5 * np.square(s) * np.square(1.0 - s))
             assert np.array_equal(double_well_prime(s), s * (1.0 - s) * (1.0 - 2.0 * s))
+            assert np.array_equal(sqrt_double_well(s).view(np.uint64),
+                                  np.abs(s * (1.0 - s)).view(np.uint64))
+            assert np.array_equal(well_primitive(s).view(np.uint64),
+                                  plain_well_primitive(s).view(np.uint64))
 
     def test_scalars_stay_floats(self):
         for s in (0.5, 0.3, -0.25, 1.75, np.float64(0.1)):
-            w, wp = double_well(s), double_well_prime(s)
-            assert isinstance(w, float) and isinstance(wp, float)
+            w, wp, g = double_well(s), double_well_prime(s), sqrt_double_well(s)
+            assert isinstance(w, float) and isinstance(wp, float) and isinstance(g, float)
             assert np.array_equal(w, 0.5 * np.square(s) * np.square(1.0 - s))
             assert np.array_equal(wp, s * (1.0 - s) * (1.0 - 2.0 * s))
+            assert np.array_equal(g, np.abs(s * (1.0 - s)))
+            assert np.array_equal(well_primitive(s), plain_well_primitive(np.float64(s)))
 
 
 class TestDoubleWellPrime:
