@@ -78,12 +78,15 @@ __all__ = [
 ]
 
 SIGMA_INV = 1.0 / SIGMA
+# Newton steps of the weighted-square projection at most this long count as converged.
+_SHIFT_TOL = 1e-12
 
 # The step's temporaries live in per-thread scratch (``grid._scratch``).  The
-# slots "stack_a", "stack_b", "stack_c" (float) and "stack_mask" (bool) have
-# the state's shape and are shared by the functions of this module: each one
-# fills them and reads them back before it returns, and holds none across a
-# call that uses them.  Arrays a caller receives are fresh allocations.
+# float "stack_a/b/c" and bool "stack_mask" slots have the state's shape and
+# are shared by this module's functions: each fills them and reads them back
+# before it returns, holding none across a call that uses them.  Other slots
+# ("project_*": the projection's Newton state) are grid shaped and belong to
+# one function.  Arrays a caller receives are fresh allocations.
 
 
 class ModelKind(str, enum.Enum):
@@ -171,20 +174,22 @@ def _check_state(state: PhaseField, model: ModelSpec) -> None:
         )
 
 
+def _primitive_defect(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_i k(s_i) - 1/6, the WeightedSquare constraint defect, written to ``out``."""
+    k = _well_primitive_into(s, g._scratch(s.shape, "stack_a"), g._scratch(s.shape, "stack_b"),
+                             g._scratch(s.shape, "stack_mask", bool))
+    np.sum(k, axis=0, out=out)
+    out -= 1.0 / 6.0
+    return out
+
+
 def _constraint_defect(u: np.ndarray, model: ModelSpec, out: np.ndarray) -> np.ndarray:
     """``constraint_values`` of the phases ``u``, written to ``out``."""
     if model.kind == ModelKind.SPHERE_LL:
         np.sum(np.multiply(u, u, out=g._scratch(u.shape, "stack_a")), axis=0, out=out)
         out -= 1.0
     elif model.kind == ModelKind.WEIGHTED_SQUARE:
-        k = _well_primitive_into(
-            u,
-            g._scratch(u.shape, "stack_a"),
-            g._scratch(u.shape, "stack_b"),
-            g._scratch(u.shape, "stack_mask", bool),
-        )
-        np.sum(k, axis=0, out=out)
-        out -= 1.0 / 6.0
+        _primitive_defect(u, out)
     else:
         np.sum(u, axis=0, out=out)
         out -= 1.0
@@ -347,9 +352,10 @@ def advance(
         imex_rhs *= dt
         imex_rhs += u
         new = g.helmholtz_solve_raw(imex_rhs, 1.0, dt, state.spec)
-    if not np.isfinite(new).all():
-        raise BlowUpError("non-finite values after step", time=state.time + dt)
-    out = PhaseField(state.spec, new, state.time + dt)
+    try:
+        out = PhaseField(state.spec, new, state.time + dt)
+    except ValueError as exc:  # non-finite entries; the shape is the state's
+        raise BlowUpError("non-finite values after step", time=state.time + dt) from exc
     if project:
         out = project_constraint(out, model)
     return out
@@ -376,9 +382,7 @@ def step(
     return StepResult(out, fe.rate, fe.floored_fraction)
 
 
-def _project_weighted_square(
-    u: np.ndarray, defect: np.ndarray, max_iter: int = 60, tol: float = 1e-12
-) -> np.ndarray:
+def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 60) -> np.ndarray:
     """Per-cell scalar shift t with sum_i k(u_i + t) = 1/6, by safeguarded Newton.
 
     ``defect`` is f(0) = sum_i k(u_i) - 1/6 per cell.  f is nondecreasing and
@@ -388,78 +392,43 @@ def _project_weighted_square(
     step shrinks the bracket by the sign of f; where the Newton step is not
     finite or leaves the bracket the midpoint is taken instead (rtsafe,
     Numerical Recipes 9.4).  Near the wells sum g vanishes and f behaves like
-    s|s|, where Newton alone only halves the error.  Only cells that have not
-    converged (|step| > tol) are iterated, gathered by index.
+    s|s|, where Newton alone only halves the error.
 
     Cells already on the manifold (|f(0)| <= 1e-13) keep t = 0 exactly: near
     wells the defect is quadratic in t and floating point flattens it, so a
     root search would wander to the plateau edge instead of staying put.
 
-    The iteration works in prefix views of per-thread scratch sized to the
-    cell count: vectors over the m cells still iterating, and (N, m) blocks of
-    the stacked slots.  ``np.take`` copies when its output overlaps its
-    source, so compaction gathers into a spent buffer and the names trade
-    buffers; the cell indices alternate between the array ``np.flatnonzero``
-    returned and one scratch buffer.
+    Every pass runs on the whole grid in per-thread scratch.  Cells on the
+    manifold start frozen; the others take each pass's new t until their step
+    is within ``_SHIFT_TOL``, then freeze, still evaluated but ignored.
     """
-    target = 1.0 / 6.0
-    n_phases, size = u.shape[0], defect.size
-    flat_u = u.reshape(n_phases, -1)
-    stack_a, stack_b, stack_c = (
-        g._scratch(u.shape, "stack_" + slot).reshape(-1) for slot in "abc"
-    )
-    stack_mask = g._scratch(u.shape, "stack_mask", bool).reshape(-1)
+    def slot(name, dtype=np.float64):
+        return g._scratch(defect.shape, "project_" + name, dtype)
 
-    def vector(slot, dtype=np.float64):
-        return g._scratch((size,), "project_" + slot, dtype)
+    f, fprime, t, lo, hi, new, tmp = map(slot, ("f", "fprime", "t", "lo", "hi", "new", "tmp"))
+    active, mask, done = (slot(name, bool) for name in ("active", "mask", "done"))
+    # u + t in stack c: the defect uses stacks a and b.
+    s, stack_b = g._scratch(u.shape, "stack_c"), g._scratch(u.shape, "stack_b")
 
-    def block(buf, m):
-        return buf[: n_phases * m].reshape(n_phases, m)
-
-    def phases_at(cells, m):
-        # mode="clip" (the indices are valid) keeps take from buffering its output.
-        return np.take(flat_u, cells, axis=1, out=block(stack_a, m), mode="clip")
-
-    def primitive_sum(s, m, out):
-        k = _well_primitive_into(s, block(stack_b, m), block(stack_c, m), block(stack_mask, m))
-        np.sum(k, axis=0, out=out)
-        out -= target
-        return out
-
-    # F ... TMP are whole per-cell buffers that trade roles; f, t, lo, hi and
-    # the other lower-case names are prefix views over the m cells iterating.
-    F, FP, T, LO, HI, NEW, TMP, shift = (
-        vector(slot) for slot in ("f", "fprime", "t", "lo", "hi", "new", "tmp", "shift")
-    )
-    MASK, DONE, spare = vector("mask", bool), vector("done", bool), vector("cells", np.intp)
-    shift.fill(0.0)
-    flat_defect = defect.reshape(-1)
-    cells_buf = np.flatnonzero(np.greater(np.abs(flat_defect, out=F), 1e-13, out=MASK))
-    cells, m = cells_buf, cells_buf.size
-    f = np.take(flat_defect, cells, out=F[:m], mode="clip")
-
-    side = HI[:m]
+    np.greater(np.abs(defect, out=tmp), 1e-13, out=active)
+    side = hi
     side.fill(0.5)
-    np.copyto(side, -0.5, where=np.greater(f, 0.0, out=MASK[:m]))
-    sign_f = np.sign(f, out=LO[:m])
-    short = DONE[:m]
+    np.copyto(side, -0.5, where=np.greater(defect, 0.0, out=mask))
+    sign_f = np.sign(defect, out=lo)
     for _ in range(12):
-        s = phases_at(cells, m)
-        s += side
-        total = np.sign(primitive_sum(s, m, NEW[:m]), out=NEW[:m])
-        if not np.equal(total, sign_f, out=short).any():
+        total = np.sign(_primitive_defect(np.add(u, side[None], out=s), new), out=new)
+        if not np.logical_and(np.equal(total, sign_f, out=done), active, out=done).any():
             break
-        np.multiply(side, 2.0, out=side, where=short)
+        np.multiply(side, 2.0, out=side, where=done)
     else:
         raise ProjectionError("bracket failure in weighted-square projection")
-    np.minimum(side, 0.0, out=LO[:m])
-    np.maximum(side, 0.0, out=HI[:m])
+    np.minimum(side, 0.0, out=lo)
+    np.maximum(side, 0.0, out=hi)
 
-    T[:m] = 0.0
-    np.sum(_sqrt_double_well_into(phases_at(cells, m), block(stack_b, m)), axis=0, out=FP[:m])
+    t.fill(0.0)
+    np.copyto(f, defect)
+    np.sum(_sqrt_double_well_into(u, stack_b), axis=0, out=fprime)
     for _ in range(max_iter):
-        t, lo, hi, f, fprime = T[:m], LO[:m], HI[:m], F[:m], FP[:m]
-        new, tmp, mask, done = NEW[:m], TMP[:m], MASK[:m], DONE[:m]
         np.copyto(hi, t, where=np.greater_equal(f, 0.0, out=mask))
         np.copyto(lo, t, where=np.less_equal(f, 0.0, out=mask))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -469,27 +438,16 @@ def _project_weighted_square(
         mask &= np.less_equal(new, hi, out=done)
         np.multiply(np.add(lo, hi, out=tmp), 0.5, out=tmp)
         np.copyto(new, tmp, where=np.logical_not(mask, out=mask))
-        np.less_equal(np.abs(np.subtract(new, t, out=tmp), out=tmp), tol, out=done)
-        # Every iterating cell's latest t; the last write is the one where it is done.
-        shift[cells] = new
-        keep = np.flatnonzero(np.logical_not(done, out=done))  # the one allocation
-        m = keep.size
-        if m == 0:
-            return u + shift.reshape(defect.shape)[None]
-        np.take(cells, keep, out=spare[:m], mode="clip")
-        cells_buf, spare = spare, cells_buf
-        cells = cells_buf[:m]
-        np.take(new, keep, out=T[:m], mode="clip")
-        np.take(lo, keep, out=TMP[:m], mode="clip")
-        LO, TMP = TMP, LO
-        np.take(hi, keep, out=F[:m], mode="clip")
-        HI, F = F, HI
-        s = phases_at(cells, m)
-        s += T[:m]
-        primitive_sum(s, m, F[:m])
-        np.sum(_sqrt_double_well_into(s, block(stack_b, m)), axis=0, out=FP[:m])
+        np.less_equal(np.abs(np.subtract(new, t, out=tmp), out=tmp), _SHIFT_TOL, out=done)
+        np.copyto(t, new, where=active)
+        active &= np.logical_not(done, out=done)
+        if not active.any():
+            return u + t[None]
+        _primitive_defect(np.add(u, t[None], out=s), f)
+        np.sum(_sqrt_double_well_into(s, stack_b), axis=0, out=fprime)
     raise ProjectionError(
-        f"weighted-square Newton iteration did not reach tol={tol} in {max_iter} iterations"
+        f"weighted-square Newton iteration did not reach tol={_SHIFT_TOL} "
+        f"in {max_iter} iterations"
     )
 
 

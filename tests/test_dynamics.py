@@ -209,8 +209,10 @@ class TestStep:
     def test_blow_up_detected(self, spec64):
         model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
         huge = wells_state(spec64, (1e200, 1.0 - 1e200))
-        with pytest.raises(BlowUpError):
-            step(huge, model, 1e-8, "ExplicitEuler")
+        for scheme in ("ExplicitEuler", "IMEX"):
+            with pytest.raises(BlowUpError, match="non-finite values after step") as info:
+                step(huge, model, 1e-8, scheme)
+            assert info.value.time == 1e-8
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_flow_rate_is_the_dissipation_rate(self, kind):
@@ -442,6 +444,23 @@ class TestWeightedSquareProjectionMatchesReference:
         # A shift beyond the first bracket [-0.5, 0.5] is found only by doubling.
         assert np.max(np.abs(self.check(u) - u)) > 0.5
 
+    def test_frozen_cells_beside_cells_still_iterating(self):
+        # Cells a small step off the manifold converge in 1-3 Newton passes,
+        # the near-well block needs more than 10 and the shifted block needs
+        # bracket doubling, so frozen cells sit beside cells still iterating.
+        spec = GridSpec(2, 32)
+        rng = np.random.default_rng(3)
+        smooth = random_smooth_state(spec, 3, seed=4, amplitude=0.3).values
+        u = reference_project_weighted_square(smooth, np.sum(plain_k(smooth), axis=0) - 1.0 / 6.0)
+        u = u + 10.0 ** rng.uniform(-12, -4, spec.shape) * rng.uniform(-1, 1, u.shape)
+        u[:, :, :12] = wells_state(spec, (1.0, 0.0, 0.0)).values[:, :, :12]
+        u[:, :, :12] += 1e-5 * rng.uniform(-1, 1, (3, 32, 12))
+        u[0, 20:, 16:] += 1.5
+        defect = constraint_values(PhaseField(spec, u), self.model)
+        with pytest.raises(ProjectionError, match="did not reach"):
+            _project_weighted_square(u, defect, max_iter=10)
+        assert np.max(np.abs(self.check(u) - u)) > 0.5
+
 
 class TestConservationUnderStepping:
     def run_drift(self, kind, n_phases, dt_factor, t_end=0.004, n=128):
@@ -519,10 +538,10 @@ def steady_state_advance_peak(kind: ModelKind) -> float:
 
 # Readings with numpy 2.4.6: before the step's temporaries moved to scratch
 # SphereLL 15.8, MeanShift 10.7, WeightedSum 10.7, WeightedSquare 35.3; after
-# 8.1, 6.1, 6.1 and 9.2.  What remains is the solve's output, the projected
-# state, the finiteness masks, numpy's 64 KB iteration buffer for ufuncs with
-# a broadcast operand (two grid arrays at n = 64, a constant in n) and, for
-# WeightedSquare, the per-iteration index arrays of the compaction.
+# 8.1, 6.1, 6.1 and 9.2, and WeightedSquare 8.1 once its projection dropped the
+# compaction's index arrays.  What remains is the solve's output, the projected
+# state, the finiteness masks and numpy's 64 KB iteration buffer for ufuncs
+# with a broadcast operand (two grid arrays at n = 64, a constant in n).
 @pytest.mark.parametrize(
     "kind, bound",
     [
@@ -534,3 +553,23 @@ def steady_state_advance_peak(kind: ModelKind) -> float:
 )
 def test_steady_state_step_allocates_few_grid_arrays(kind, bound):
     assert steady_state_advance_peak(kind) < bound
+
+
+def test_weighted_square_projection_allocates_only_its_result():
+    """A warm projection allocates its result and under 1/8 of a grid array besides."""
+    n = 128
+    spec = GridSpec(2, n)
+    model = ModelSpec(ModelKind.WEIGHTED_SQUARE, 8.0 / n, 3)
+    state = PhaseField(spec, TripleJunction().profiles(spec, 8.0 / n))
+    state = project_constraint(state, model, max_violation=np.inf)
+    u = step(state, model, spec.h**2, "IMEX").state.values
+    defect = constraint_values(PhaseField(spec, u), model)
+    _project_weighted_square(u, defect)  # sizes the scratch
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        _project_weighted_square(u, defect)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base - u.nbytes < 8 * spec.cell_count / 8
