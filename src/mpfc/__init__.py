@@ -15,8 +15,6 @@ from .analysis import (
 from .diagnostics import (
     MeasureSample,
     VariationReport,
-    bv_proxy,
-    discrepancy_measure,
     energy_bv_gap,
     energy_measure,
     first_variation,
@@ -27,13 +25,8 @@ from .diagnostics import (
 from .dynamics import (
     ModelKind,
     ModelSpec,
-    MultiplierField,
     PhaseField,
-    StepResult,
-    chemical_potential,
-    compute_multiplier,
     project_constraint,
-    step,
 )
 from .errors import (
     BlowUpError,
@@ -51,10 +44,6 @@ from .grid import (
     GridSpec,
     ScalarField,
     VectorField,
-    gradient,
-    helmholtz_solve,
-    integrate,
-    laplacian,
 )
 from .potential import (
     SIGMA,

@@ -76,21 +76,18 @@ SIGMA_INV = 1.0 / SIGMA
 class KernelSpec:
     """Backward heat kernel centered at ``center_y`` with terminal time ``terminal_s``.
 
-    ``image_truncation`` is the periodic image lattice radius; ``None`` picks
-    the smallest radius whose omitted tail mass is below 1e-14 at evaluation
-    time (radius grows with the variance 2(s - t)).
+    ``truncation_for(t)`` is the periodic image lattice radius: the smallest
+    whose omitted tail mass is below 1e-14 at time t (the radius grows with
+    the variance 2(s - t)).
     """
 
     center_y: tuple[float, ...]
     terminal_s: float
-    image_truncation: int | None = None
 
     def truncation_for(self, t: float) -> int:
         tau = self.terminal_s - t
         if tau <= 0:
             raise InputError(f"kernel requires t < s, got t={t}, s={self.terminal_s}")
-        if self.image_truncation is not None:
-            return self.image_truncation
         # exp(-K^2 / (4 tau)) <= 1e-17.5 makes the summed tail < 1e-14 of the
         # nearest-image mass even after the geometric factor.
         return max(1, math.ceil(math.sqrt(4.0 * tau * 40.3)))

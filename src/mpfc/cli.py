@@ -15,7 +15,7 @@ comment.  Keys match the scenario fields:
                | TwoDisks[(x1,y1,r1,x2,y2,r2)] | TripleJunction[(a1,a2,a3)]
     model      SphereLL | WeightedSum | MeanShift | WeightedSquare
     eps, n_phases, denom_floor, d, n, dt, t_end, snapshot_every,
-    projection (off | every_step), scheme (IMEX | ExplicitEuler)
+    projection (off | every_step), scheme (a name in ``dynamics.SCHEMES``)
 
 Unknown keys are errors.  Unset keys take the documented baseline defaults
 (d=2, n=256, eps=8/n, dt=h^2, t_end=0.02, MeanShift disk).  Exit codes:

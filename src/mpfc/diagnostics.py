@@ -37,15 +37,13 @@ import numpy as np
 from . import grid as g
 from .dynamics import FlowEval, ModelSpec, PhaseField, constraint_violation, flow
 from .errors import InputError
-from .grid import ScalarField, VectorField
+from .grid import VectorField
 from .potential import SIGMA, double_well, sqrt_double_well
 
 __all__ = [
     "MeasureSample",
     "VariationReport",
     "energy_measure",
-    "discrepancy_measure",
-    "bv_proxy",
     "energy_bv_gap",
     "measure_sample",
     "first_variation",
@@ -89,55 +87,27 @@ def energy_densities(
     """Stacked (grad_sq, energy, discrepancy) densities, before the SIGMA^{-1} factor.
 
     Every energy-type density of the package (energy, discrepancy, BV,
-    weighted balances, Gaussian density) is built from this one pass.
+    weighted balances, Gaussian density) is built from this one pass.  The
+    energy and discrepancy are formed in place from 0.5 eps grad_sq and W/eps.
     """
     grad_sq = _grad_sq(state)
-    gradient = 0.5 * eps * grad_sq
-    potential = double_well(state.values) / eps
-    return grad_sq, gradient + potential, gradient - potential
+    energy = np.multiply(0.5 * eps, grad_sq)
+    potential = double_well(state.values)
+    potential /= eps
+    discrepancy = np.subtract(energy, potential)
+    energy += potential
+    return grad_sq, energy, discrepancy
 
 
-def _integrate_phases(
-    state: PhaseField, dens: np.ndarray, test_fn: ScalarField | None = None
-) -> np.ndarray:
-    """SIGMA^{-1} int dens_i (times the test function) dx for each phase."""
-    if test_fn is not None:
-        if test_fn.spec != state.spec:
-            raise ValueError("test function lives on a different grid")
-        dens = dens * test_fn.values
+def _integrate_phases(state: PhaseField, dens: np.ndarray) -> np.ndarray:
+    """SIGMA^{-1} int dens_i dx for each phase."""
     h, d = state.spec.h, state.spec.d
     return np.array([SIGMA_INV * g.integrate_raw(x, h, d) for x in dens])
 
 
-def _bv_density(state: PhaseField, grad_sq: np.ndarray) -> np.ndarray:
-    return np.sqrt(grad_sq) * sqrt_double_well(state.values)
-
-
-def energy_measure(
-    state: PhaseField, eps: float, test_fn: ScalarField | None = None
-) -> np.ndarray:
-    """Per-phase diffuse surface energy, optionally weighted by a test function."""
-    return _integrate_phases(state, energy_densities(state, eps)[1], test_fn)
-
-
-def discrepancy_measure(
-    state: PhaseField,
-    eps: float,
-    test_fn: ScalarField | None = None,
-    signed: bool = True,
-) -> np.ndarray:
-    """Per-phase gradient-minus-potential discrepancy (signed or absolute)."""
-    dens = energy_densities(state, eps)[2]
-    return _integrate_phases(state, dens if signed else np.abs(dens), test_fn)
-
-
-def bv_proxy(state: PhaseField) -> np.ndarray:
-    """Per-phase total variation of G(u_i), via |grad G(u)| = SIGMA^{-1}|grad u| sqrt(2W(u)).
-
-    |grad u| is the square root of the energy's gradient density, so AM-GM,
-    eps a^2/2 + W/eps >= a sqrt(2W), gives bv_i <= energy_i cell by cell.
-    """
-    return _integrate_phases(state, _bv_density(state, _grad_sq(state)))
+def energy_measure(state: PhaseField, eps: float) -> np.ndarray:
+    """Per-phase diffuse surface energy."""
+    return _integrate_phases(state, energy_densities(state, eps)[1])
 
 
 def energy_bv_gap(sample: MeasureSample) -> float:
@@ -150,6 +120,10 @@ def measure_sample(state: PhaseField, model: ModelSpec) -> MeasureSample:
 
     It evaluates no flow: the dissipation rate is the ``rate`` of
     ``dynamics.flow`` and ``run_simulation`` records it with each sample.
+    The BV proxy of phase i integrates SIGMA^{-1} |grad u_i| sqrt(2 W(u_i)),
+    the total variation of G(u_i) by chain rule; |grad u_i| is the square
+    root of the energy's gradient density, so AM-GM, eps a^2/2 + W/eps >=
+    a sqrt(2W), gives bv_i <= energy_i cell by cell.
     """
     h, d = state.spec.h, state.spec.d
     grad_sq, energy_dens, disc_dens = energy_densities(state, model.eps)
@@ -161,7 +135,9 @@ def measure_sample(state: PhaseField, model: ModelSpec) -> MeasureSample:
         energy_total=float(np.sum(energy)),
         discrepancy_per_phase=_integrate_phases(state, disc_dens),
         discrepancy_abs=float(np.sum(_integrate_phases(state, np.abs(disc_dens)))),
-        bv_proxy_per_phase=_integrate_phases(state, _bv_density(state, grad_sq)),
+        bv_proxy_per_phase=_integrate_phases(
+            state, np.sqrt(grad_sq) * sqrt_double_well(state.values)
+        ),
         constraint_drift=constraint_violation(state, model),
         phase_volumes=volumes,
         phase_sup=np.max(state.values.reshape(state.n_phases, -1), axis=1),

@@ -50,7 +50,7 @@ from .errors import (
     ProjectionError,
     ProjectionSingularError,
 )
-from .grid import GridSpec, ScalarField
+from .grid import GridSpec
 from .potential import (
     SIGMA,
     _double_well_prime_into,
@@ -62,14 +62,10 @@ __all__ = [
     "ModelKind",
     "ModelSpec",
     "PhaseField",
-    "MultiplierField",
-    "StepResult",
     "FlowEval",
-    "chemical_potential",
-    "compute_multiplier",
+    "SCHEMES",
     "flow",
     "dissipation_rate",
-    "step",
     "advance",
     "project_constraint",
     "constraint_violation",
@@ -78,6 +74,8 @@ __all__ = [
 ]
 
 SIGMA_INV = 1.0 / SIGMA
+# Time-stepping schemes that ``advance`` implements.
+SCHEMES = ("IMEX", "ExplicitEuler")
 # Newton steps of the weighted-square projection at most this long count as converged.
 _SHIFT_TOL = 1e-12
 
@@ -141,21 +139,6 @@ class PhaseField:
         return PhaseField(self.spec, values, self.time if time is None else time)
 
 
-@dataclass(frozen=True)
-class MultiplierField:
-    """Pointwise multiplier with regularization bookkeeping."""
-
-    values: ScalarField
-    floored_fraction: float
-    constraint_warning: bool = False
-
-
-class StepResult(NamedTuple):
-    state: PhaseField
-    dissipation_rate: float  # SIGMA^{-1} int eps |du/dt|^2 dx at the pre-step state
-    floored_fraction: float
-
-
 class FlowEval(NamedTuple):
     """One evaluation of the flow at a state: du/dt and the pieces it is built from."""
 
@@ -216,14 +199,6 @@ def _chemical_potential(u: np.ndarray, lap: np.ndarray, eps: float) -> np.ndarra
     return mu
 
 
-def chemical_potential(u_i: ScalarField, eps: float) -> ScalarField:
-    """mu = -eps Lap u + W'(u)/eps, one component of the energy gradient."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    lap = g.laplacian_raw(u_i.values, u_i.spec.h)
-    return ScalarField(u_i.spec, _chemical_potential(u_i.values, lap, eps))
-
-
 def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
     """Evaluate du/dt together with the Laplacian, chemical potential, multiplier
     and dissipation rate.
@@ -236,8 +211,8 @@ def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
     eps = model.eps
     grid_shape = state.spec.shape
     floored_fraction = 0.0
-    # Overflow in the polynomial terms is legitimate blow-up; it surfaces via
-    # the finiteness check after stepping, not as numpy warnings.
+    # Overflow anywhere in du/dt or its rate is legitimate blow-up; it surfaces
+    # via the finiteness check after stepping, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         lap = g.laplacian_raw(u, state.spec.h, axis_offset=1)
         mu = _chemical_potential(u, lap, eps)
@@ -274,26 +249,12 @@ def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
             np.copyto(lam, 0.0, where=floored)
             du = np.multiply(lam[None], weight)
             floored_fraction = float(np.mean(floored))
-    du -= mu
-    du /= eps
-    # |du|^2 summed over phases into the first plane of the spent stack b.
-    du_sq = np.sum(np.multiply(du, du, out=stack_a), axis=0, out=stack_b[0])
-    rate = SIGMA_INV * eps * g.integrate_raw(du_sq, state.spec.h, state.spec.d)
+        du -= mu
+        du /= eps
+        # |du|^2 summed over phases into the first plane of the spent stack b.
+        du_sq = np.sum(np.multiply(du, du, out=stack_a), axis=0, out=stack_b[0])
+        rate = SIGMA_INV * eps * g.integrate_raw(du_sq, state.spec.h, state.spec.d)
     return FlowEval(du, lap, mu, lam, floored_fraction, rate)
-
-
-def compute_multiplier(state: PhaseField, model: ModelSpec) -> MultiplierField:
-    """Pointwise Lagrange multiplier of the model at this state.
-
-    Sets ``constraint_warning`` when the state is further than 1e-3 from its
-    constraint manifold, since the multiplier formulas assume the constraint.
-    """
-    fe = flow(state, model)
-    return MultiplierField(
-        values=ScalarField(state.spec, np.ascontiguousarray(fe.multiplier)),
-        floored_fraction=fe.floored_fraction,
-        constraint_warning=constraint_violation(state, model) > 1e-3,
-    )
 
 
 def dissipation_rate(state: PhaseField, model: ModelSpec) -> float:
@@ -322,14 +283,14 @@ def check_scheme(spec: GridSpec, model: ModelSpec, dt: float, scheme: str) -> No
     """Validate scheme name and the explicit stability policy before stepping."""
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
     if scheme == "ExplicitEuler":
         limit = explicit_dt_limit(spec, model.eps)
         if dt > limit * (1.0 + 1e-12):
             raise ConfigurationError(
                 f"ExplicitEuler stability policy requires dt <= {limit:.6e}, got {dt:.6e}"
             )
-    elif scheme != "IMEX":
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
 
 
 def advance(
@@ -340,7 +301,15 @@ def advance(
     fe: FlowEval,
     project: bool = False,
 ) -> PhaseField:
-    """Apply one step of the chosen scheme using the flow evaluation ``fe`` at ``state``."""
+    """Advance one time step of the chosen scheme, given ``fe = flow(state, model)``.
+
+    ``ExplicitEuler`` advances with the full right-hand side and enforces the
+    stability policy ``dt <= min(h^2/(4d), eps^2/10)`` before stepping.
+    ``IMEX`` treats the Laplacian implicitly through the Helmholtz solve
+    (a=1, b=dt) and the potential/multiplier terms explicitly.  With
+    ``project=True`` the model's constraint projection is applied to the
+    result.
+    """
     check_scheme(state.spec, model, dt, scheme)
     u = state.values
     if scheme == "ExplicitEuler":
@@ -359,27 +328,6 @@ def advance(
     if project:
         out = project_constraint(out, model)
     return out
-
-
-def step(
-    state: PhaseField,
-    model: ModelSpec,
-    dt: float,
-    scheme: str = "IMEX",
-    project: bool = False,
-) -> StepResult:
-    """Advance one time step.
-
-    ``ExplicitEuler`` advances with the full right-hand side and enforces the
-    stability policy ``dt <= min(h^2/(4d), eps^2/10)`` before stepping.
-    ``IMEX`` treats the Laplacian implicitly through the Helmholtz solve
-    (a=1, b=dt) and the potential/multiplier terms explicitly.  With
-    ``project=True`` the model's constraint projection is applied to the
-    result.  The returned dissipation rate is evaluated at the pre-step state.
-    """
-    fe = flow(state, model)
-    out = advance(state, model, dt, scheme, fe, project)
-    return StepResult(out, fe.rate, fe.floored_fraction)
 
 
 def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 60) -> np.ndarray:

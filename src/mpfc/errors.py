@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MpfcError",
+    "ConfigurationError",
+    "SolverFailureError",
+    "DegenerateDenominatorError",
+    "BlowUpError",
+    "ProjectionError",
+    "ProjectionSingularError",
+    "ScenarioError",
+    "SnapshotFormatError",
+    "InputError",
+]
+
 
 class MpfcError(Exception):
     """Base class for all package-specific errors."""

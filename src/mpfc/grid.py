@@ -1,17 +1,18 @@
 """Periodic uniform grid on the flat unit torus with finite-difference calculus.
 
 The domain is the d-dimensional torus of period 1 in every axis, sampled at the
-n^d points x_k = k*h with h = 1/n.  All operators wrap periodically:
+n^d points x_k = k*h with h = 1/n.  All operators act on raw arrays and wrap
+periodically:
 
-    laplacian:  (2d+1)-point second-order stencil,
-                sum over axes of (f_{j+1} - 2 f_j + f_{j-1}) / h^2
-    gradient:   central differences, (f_{j+1} - f_{j-1}) / (2h) per axis
-    grad_dot_raw: symmetric edge pairing of two grid functions,
-                sum over axes of (D+f D+g + D-f D-g) / 2 with
-                D+f = (f_{j+1} - f_j)/h and D-f = (f_j - f_{j-1})/h
-    integrate:  h^d * sum(f), with numpy's pairwise-tree reduction over the
-                flattened C-order array, so repeated calls are bitwise
-                identical and independent of thread count
+    laplacian_raw:  (2d+1)-point second-order stencil,
+                    sum over axes of (f_{j+1} - 2 f_j + f_{j-1}) / h^2
+    gradient_raw:   central differences, (f_{j+1} - f_{j-1}) / (2h) per axis
+    grad_dot_raw:   symmetric edge pairing of two grid functions,
+                    sum over axes of (D+f D+g + D-f D-g) / 2 with
+                    D+f = (f_{j+1} - f_j)/h and D-f = (f_j - f_{j-1})/h
+    integrate_raw:  h^d * sum(f), with numpy's pairwise-tree reduction over the
+                    flattened C-order array, so repeated calls are bitwise
+                    identical and independent of thread count
 
 Every stencil is a slicing kernel (``_periodic_pair``) with the summation
 order of its ``np.roll`` form, so every value equals that form's.
@@ -22,8 +23,9 @@ never leaves the function that fills it.  Every array a caller receives (a
 stencil's result, a solve's output, a ``FlowEval`` field, a new state) is
 freshly allocated, so a later call cannot change it.
 
-``helmholtz_solve`` inverts (a*I - b*Lap_h) by diagonalizing the exact stencil
-symbol with the FFT, so its Laplacian matches ``laplacian`` to round-off.
+``helmholtz_solve_raw`` inverts (a*I - b*Lap_h) by diagonalizing the exact
+stencil symbol with the FFT, so its Laplacian matches ``laplacian_raw`` to
+round-off.
 
 ``grad_dot_raw(f, f)`` is the squared-gradient density of every energy-type
 diagnostic.  It is the node average of the squared forward differences on the
@@ -45,10 +47,13 @@ __all__ = [
     "GridSpec",
     "ScalarField",
     "VectorField",
-    "laplacian",
-    "gradient",
-    "integrate",
-    "helmholtz_solve",
+    "torus_delta",
+    "laplacian_raw",
+    "gradient_raw",
+    "grad_dot_raw",
+    "integrate_raw",
+    "stencil_symbol",
+    "helmholtz_solve_raw",
 ]
 
 
@@ -73,18 +78,10 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.d
 
-    @property
-    def cell_count(self) -> int:
-        return self.n**self.d
-
-    def coordinates(self) -> list[np.ndarray]:
-        """Per-axis 1D coordinate arrays x_k = k*h."""
-        ax = np.arange(self.n) * self.h
-        return [ax.copy() for _ in range(self.d)]
-
     def meshgrid(self) -> list[np.ndarray]:
-        """Full coordinate arrays, one per axis, each of shape ``self.shape``."""
-        return list(np.meshgrid(*self.coordinates(), indexing="ij"))
+        """Full coordinate arrays x_k = k*h, one per axis, each of shape ``self.shape``."""
+        ax = np.arange(self.n) * self.h
+        return list(np.meshgrid(*(ax,) * self.d, indexing="ij"))
 
 
 def _frozen_array(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -122,9 +119,6 @@ class VectorField:
     def __post_init__(self):
         shape = (self.spec.d,) + self.spec.shape
         object.__setattr__(self, "values", _frozen_array(self.values, shape))
-
-    def component(self, axis: int) -> ScalarField:
-        return ScalarField(self.spec, self.values[axis].copy())
 
 
 # Raw-array kernels.  The axes of a scalar array are the grid axes; stacked
@@ -255,25 +249,6 @@ def integrate_raw(a: np.ndarray, h: float, d: int) -> float:
     return float(h**d) * float(np.sum(a))
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    """Second-order (2d+1)-point periodic Laplacian."""
-    return ScalarField(f.spec, laplacian_raw(f.values, f.spec.h))
-
-
-def gradient(f: ScalarField) -> VectorField:
-    """Second-order central-difference periodic gradient."""
-    return VectorField(f.spec, np.stack(gradient_raw(f.values, f.spec.h)))
-
-
-def integrate(f: ScalarField, weight: ScalarField | None = None) -> float:
-    """h^d-weighted sum of f (or f*weight) with a fixed reduction order."""
-    if weight is not None:
-        if weight.spec != f.spec:
-            raise ValueError("weight field has a different grid spec")
-        return integrate_raw(f.values * weight.values, f.spec.h, f.spec.d)
-    return integrate_raw(f.values, f.spec.h, f.spec.d)
-
-
 _symbol_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -301,11 +276,16 @@ def stencil_symbol(spec: GridSpec) -> np.ndarray:
 
 
 def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec) -> np.ndarray:
-    """``helmholtz_solve`` on a raw array; axes before the last ``spec.d`` stack fields."""
+    """Solve (a*I - b*Lap_h) x = rhs on the torus; axes before the last ``spec.d`` stack fields.
+
+    The solve diagonalizes the exact stencil symbol by FFT, so the operator
+    being inverted is identical to ``laplacian_raw``.  The residual contract
+    ``max|a x - b Lap x - rhs| <= 1e-10 max|rhs|`` is verified on every call.
+    """
     if not a > 0:
-        raise ValueError(f"helmholtz_solve requires a > 0, got a={a}")
+        raise ValueError(f"helmholtz_solve_raw requires a > 0, got a={a}")
     if b < 0:
-        raise ValueError(f"helmholtz_solve requires b >= 0, got b={b}")
+        raise ValueError(f"helmholtz_solve_raw requires b >= 0, got b={b}")
     axis_offset = rhs.ndim - spec.d
     axes = tuple(range(axis_offset, rhs.ndim))
     symbol = stencil_symbol(spec)
@@ -334,15 +314,3 @@ def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec) -> 
             f"helmholtz residual {worst:.3e} exceeds 1e-10 * max|rhs| = {bound:.3e}"
         )
     return x
-
-
-def helmholtz_solve(rhs: ScalarField, a: float, b: float) -> ScalarField:
-    """Solve (a*I - b*Lap_h) x = rhs on the torus.
-
-    The solve diagonalizes the exact stencil symbol by FFT, so the operator
-    being inverted is identical to ``laplacian``.  The residual contract
-    ``max|a x - b Lap x - rhs| <= 1e-10 max|rhs|`` is verified on every call.
-    """
-    return ScalarField(
-        rhs.spec, helmholtz_solve_raw(rhs.values, a, b, rhs.spec)
-    )

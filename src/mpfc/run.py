@@ -31,7 +31,7 @@ from . import grid as g
 from .analysis import _check_test_function, brakke_rhs_integrand, mu_of_phi
 from .diagnostics import MeasureSample, measure_sample
 from .dynamics import PhaseField, advance, check_scheme, flow, max_neighbor_jump
-from .errors import BlowUpError, ScenarioError
+from .errors import BlowUpError, ProjectionError, ScenarioError
 from .grid import ScalarField
 from .scenarios import Scenario, build_scenario
 from .snapshots import emit_timeseries, read_snapshot, write_snapshot
@@ -102,9 +102,11 @@ def run_simulation(
     derivative must be ``None`` (a d_t phi term would integrate the
     derivative of some other phi).  The series named ``"one"`` is always
     present.  With ``out_dir`` set, a snapshot file is written at every
-    sample and ``timeseries.csv`` at the end; on blow-up the last good
-    snapshot is persisted before the error propagates.  ``t_end`` is rounded
-    to a whole number of steps.
+    sample and ``timeseries.csv`` at the end.  When a step fails, by blow-up
+    or by a ``ProjectionError``, the last sampled state is persisted as
+    ``last_good.mpfc`` before the error propagates; a blow-up is re-raised
+    naming the step and time that went non-finite.  ``t_end`` is rounded to
+    a whole number of steps.
     """
     phis = brakke_phis or {}
     if "one" in phis:
@@ -199,14 +201,16 @@ def run_simulation(
                 break
             state = advance(state, model, dt, scenario.scheme, fe, project)
             del fe  # free this step's flow arrays before the next flow call allocates
-    except BlowUpError as exc:
+    except (BlowUpError, ProjectionError) as exc:
         if out_path is not None:
             write_snapshot(last_snapshot, model, out_path / "last_good.mpfc")
+        if isinstance(exc, ProjectionError):
+            raise
         raise BlowUpError(
-            f"blow-up at step {step_index} (t={state.time:.6g}); "
+            f"blow-up at step {step_index + 1} (t={exc.time:.6g}); "
             f"last good snapshot at t={last_snapshot.time:.6g}",
-            step_index=step_index,
-            time=state.time,
+            step_index=step_index + 1,
+            time=exc.time,
         ) from exc
 
     brakke = {

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelKind, ModelSpec, PhaseField, project_constraint
+from .dynamics import SCHEMES, ModelKind, ModelSpec, PhaseField, project_constraint
 from .diagnostics import energy_measure
 from .errors import ScenarioError
 from .grid import GridSpec, torus_delta
@@ -303,7 +303,7 @@ class Scenario:
             raise ScenarioError("snapshot_every must be >= 1")
         if self.projection not in ("off", "every_step"):
             raise ScenarioError(f"unknown projection policy {self.projection!r}")
-        if self.scheme not in ("IMEX", "ExplicitEuler"):
+        if self.scheme not in SCHEMES:
             raise ScenarioError(f"unknown scheme {self.scheme!r}")
 
 

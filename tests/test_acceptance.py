@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpfc.analysis import KernelSpec, monotonicity_check
+from mpfc.analysis import KernelSpec, monotonicity_check, mu_of_phi
 from mpfc.diagnostics import energy_measure, measure_junction_angles
 from mpfc.dynamics import ModelKind, ModelSpec
 from mpfc.grid import GridSpec, gradient_raw, integrate_raw
@@ -306,15 +306,13 @@ class TestCriterion6MeanCurvature:
         state = self.state_near_radius(rec)
         model = rec.scenario.model
         from mpfc.diagnostics import mean_curvature_proxy
-        from mpfc.grid import ScalarField
 
         density, bound = mean_curvature_proxy(state, model)
         h = state.spec.h
         worst = -np.inf
         for seed in range(5):
             gfield = random_smooth_vector_field(state.spec, seed=seed)
-            gsq = ScalarField(state.spec, np.sum(gfield.values**2, axis=0))
-            norm_mu = float(np.sum(energy_measure(state, model.eps, gsq)))
+            norm_mu = mu_of_phi(state, model.eps, np.sum(gfield.values**2, axis=0))
             gv = gfield.values / np.sqrt(norm_mu)
             pairing = integrate_raw(np.sum(density.values * gv, axis=0), h, 2)
             e_g = 0.0

@@ -19,7 +19,14 @@ from mpfc.analysis import (
 from mpfc.diagnostics import measure_sample
 from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, dissipation_rate, flow
 from mpfc.errors import InputError
-from mpfc.grid import GridSpec, ScalarField, laplacian_raw
+from mpfc.grid import (
+    GridSpec,
+    ScalarField,
+    grad_dot_raw,
+    integrate_raw,
+    laplacian_raw,
+    torus_delta,
+)
 from mpfc.potential import SIGMA, double_well, double_well_prime
 from mpfc.run import run_simulation
 from mpfc.scenarios import Disk, Scenario
@@ -67,13 +74,17 @@ class TestBackwardHeatKernel:
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_truncation_stability(self):
+        # Three more image shells per axis than the kernel sums change nothing.
         tau = 0.05
-        base = KernelSpec(center_y=(0.2, 0.4), terminal_s=1.0)
-        wide = KernelSpec(center_y=(0.2, 0.4), terminal_s=1.0,
-                          image_truncation=base.truncation_for(1.0 - tau) + 3)
+        spec = KernelSpec(center_y=(0.2, 0.4), terminal_s=1.0)
         x = (0.77, 0.13)
-        a = backward_heat_kernel(x, 1.0 - tau, base)
-        b = backward_heat_kernel(x, 1.0 - tau, wide)
+        a = backward_heat_kernel(x, 1.0 - tau, spec)
+        radius = spec.truncation_for(1.0 - tau) + 3
+        shells = np.arange(-radius, radius + 1)
+        b = (4 * np.pi * tau) ** -0.5
+        for xa, ya in zip(x, spec.center_y):
+            z = torus_delta(xa, ya) + shells
+            b *= np.sum(np.exp(-z * z / (4 * tau)))
         assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
 
     def test_domain_error_at_terminal_time(self):
@@ -409,11 +420,13 @@ class TestBrakkeResidual:
     def test_mu_of_phi_matches_weighted_energy(self):
         n, eps = 128, 1.0 / 16.0
         state = strip_state(n, eps)
-        phi = bump_field(state.spec)
-        from mpfc.diagnostics import energy_measure
-
-        direct = float(np.sum(energy_measure(state, eps, phi)))
-        assert mu_of_phi(state, eps, phi.values) == pytest.approx(direct, rel=1e-13)
+        phi = bump_field(state.spec).values
+        h = state.spec.h
+        direct = sum(
+            integrate_raw(phi * (0.5 * eps * grad_dot_raw(u, u, h) + double_well(u) / eps), h, 2)
+            for u in state.values
+        ) / SIGMA
+        assert mu_of_phi(state, eps, phi) == pytest.approx(direct, rel=1e-13)
 
 
 class TestDiscreteVariationalIdentity:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import disk_state, random_smooth_state, strip_state, projected_sphere_state
+from mpfc.analysis import mu_of_phi
 from mpfc.diagnostics import (
-    bv_proxy,
-    discrepancy_measure,
     energy_bv_gap,
     energy_measure,
     first_variation,
@@ -16,14 +15,19 @@ from mpfc.diagnostics import (
 )
 from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, flow, project_constraint
 from mpfc.errors import InputError
-from mpfc.grid import GridSpec, ScalarField, integrate_raw
-from mpfc.potential import SIGMA, double_well
+from mpfc.grid import GridSpec, grad_dot_raw, integrate_raw
+from mpfc.potential import SIGMA, double_well, sqrt_double_well
 from mpfc.scenarios import TripleJunction
 from mpfc.testfields import constant_vector_field, radial_vector_field, random_smooth_vector_field
 
 
 def pure_state(spec, pattern):
     return PhaseField(spec, np.stack([np.full(spec.shape, v) for v in pattern]))
+
+
+def sample_of(state, eps):
+    """``measure_sample`` of a state under a MeanShift model with its phase count."""
+    return measure_sample(state, ModelSpec(ModelKind.MEAN_SHIFT, eps, state.n_phases))
 
 
 class TestEnergyMeasure:
@@ -40,9 +44,9 @@ class TestEnergyMeasure:
     def test_weight_linearity(self, spec128):
         state = strip_state(128)
         eps = 8.0 / 128
-        one = energy_measure(state, eps, ScalarField.constant(spec128, 1.0))
-        two = energy_measure(state, eps, ScalarField.constant(spec128, 2.0))
-        assert np.allclose(two, 2.0 * one, rtol=0, atol=0)
+        one = mu_of_phi(state, eps, np.ones(spec128.shape))
+        two = mu_of_phi(state, eps, np.full(spec128.shape, 2.0))
+        assert two == 2.0 * one
 
 
 class TestDiscrepancyMeasure:
@@ -55,7 +59,7 @@ class TestDiscrepancyMeasure:
         vals = []
         for n in (64, 128, 256):
             state = strip_state(n, eps)
-            vals.append(float(np.sum(discrepancy_measure(state, eps, signed=False))))
+            vals.append(sample_of(state, eps).discrepancy_abs)
         diff_ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
         assert 3.0 <= diff_ratio <= 5.0
         # the converged value is the tail cross term: tiny against energy ~ 4
@@ -66,14 +70,13 @@ class TestDiscrepancyMeasure:
         # resolved profile is equipartitioned to a fraction of a percent.
         eps = 1.0 / 32.0
         state = strip_state(256, eps)
-        total = float(np.sum(discrepancy_measure(state, eps, signed=False)))
-        energy = float(np.sum(energy_measure(state, eps)))
-        assert total < 0.01 * energy
+        sample = sample_of(state, eps)
+        assert sample.discrepancy_abs < 0.01 * sample.energy_total
 
     def test_constant_half_state_value(self, spec64):
         eps = 0.05
         state = pure_state(spec64, (0.5, 0.5))
-        signed = discrepancy_measure(state, eps, signed=True)
+        signed = sample_of(state, eps).discrepancy_per_phase
         expected = -double_well(0.5) / (eps * SIGMA)
         assert np.allclose(signed, expected, rtol=1e-12)
 
@@ -81,27 +84,26 @@ class TestDiscrepancyMeasure:
         spec = GridSpec(2, 32)
         eps = 0.0625
         for seed in range(5):
-            state = random_smooth_state(spec, 2, seed)
-            signed = discrepancy_measure(state, eps, signed=True)
-            absolute = discrepancy_measure(state, eps, signed=False)
-            assert np.all(np.abs(signed) <= absolute + 1e-14)
+            sample = sample_of(random_smooth_state(spec, 2, seed), eps)
+            signed = sample.discrepancy_per_phase
+            assert np.sum(np.abs(signed)) <= sample.discrepancy_abs + 1e-14
 
 
 class TestBvProxy:
     def test_constant_state_is_zero(self, spec64):
-        assert np.all(bv_proxy(pure_state(spec64, (0.3, 0.7))) == 0.0)
+        sample = sample_of(pure_state(spec64, (0.3, 0.7)), 0.05)
+        assert np.all(sample.bv_proxy_per_phase == 0.0)
 
     def test_strip_one_bv_unit_per_interface(self):
-        state = strip_state(256, 1.0 / 32.0)
-        per_phase = bv_proxy(state)
+        per_phase = sample_of(strip_state(256, 1.0 / 32.0), 1.0 / 32.0).bv_proxy_per_phase
         assert np.allclose(per_phase, 2.0, rtol=0.05)
 
     def test_domination_by_energy(self):
         spec = GridSpec(2, 32)
         eps = 0.0625
         for seed in range(10):
-            state = random_smooth_state(spec, 3, seed)
-            assert np.all(bv_proxy(state) <= energy_measure(state, eps) + 1e-12)
+            sample = sample_of(random_smooth_state(spec, 3, seed), eps)
+            assert np.all(sample.bv_proxy_per_phase <= sample.energy_per_phase + 1e-12)
 
 
 class TestEnergyBvGap:
@@ -145,15 +147,30 @@ class TestMeasureSample:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_single_pass_equals_the_public_measures(self, kind):
         # measure_sample derives every measure from one pass over the
-        # densities; it must agree exactly with the standalone functions.
+        # densities; it must agree exactly with the densities written out
+        # phase by phase.
         eps = 1.0 / 16.0
         state = random_smooth_state(GridSpec(2, 64), 3, seed=7)
         sample = measure_sample(state, ModelSpec(kind, eps, 3))
+        h = state.spec.h
+
+        def integral(dens):
+            return 1.0 / SIGMA * integrate_raw(dens, h, 2)
+
+        energy, signed, absolute, bv = [], [], [], []
+        for u in state.values:
+            grad_sq = grad_dot_raw(u, u, h)
+            gradient = 0.5 * eps * grad_sq
+            potential = double_well(u) / eps
+            energy.append(integral(gradient + potential))
+            signed.append(integral(gradient - potential))
+            absolute.append(integral(np.abs(gradient - potential)))
+            bv.append(integral(np.sqrt(grad_sq) * sqrt_double_well(u)))
+        assert np.all(sample.energy_per_phase == energy)
         assert np.all(sample.energy_per_phase == energy_measure(state, eps))
-        assert np.all(sample.discrepancy_per_phase == discrepancy_measure(state, eps))
-        absolute = discrepancy_measure(state, eps, signed=False)
+        assert np.all(sample.discrepancy_per_phase == signed)
         assert sample.discrepancy_abs == float(np.sum(absolute))
-        assert np.all(sample.bv_proxy_per_phase == bv_proxy(state))
+        assert np.all(sample.bv_proxy_per_phase == bv)
 
 
     @pytest.mark.parametrize("kind", list(ModelKind))
