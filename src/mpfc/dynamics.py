@@ -29,6 +29,10 @@ consistent with the formal limit because the coupling carries another factor
 of g that vanishes at the same order.  The floored cell fraction is reported
 so runs can detect over-flooring.
 
+MeanShift's IMEX step solves N - 1 phases: its multiplier keeps sum_j u_j
+fixed pointwise, on or off the manifold, so the last phase is the old sum
+minus the others.  WeightedSum floors its multiplier, so it solves them all.
+
 States are never clamped: overshoot outside [0, 1] is reported by the
 diagnostics, not repaired, because clamping would corrupt the energy
 dissipation identity.
@@ -309,6 +313,14 @@ def advance(
     (a=1, b=dt) and the potential/multiplier terms explicitly.  With
     ``project=True`` the model's constraint projection is applied to the
     result.
+
+    MeanShift's IMEX step solves phases 0..N-2 and sets the last to S minus
+    them, S = sum_i u_i of the old state.  This is exact off the manifold too:
+    sum_i du_i = (N mean(mu) - sum mu)/eps is zero to round-off, so the
+    right-hand sides sum to (I - dt Lap_h) S and, by linearity, the solutions
+    to S.  The last phase's IMEX residual is at most the sum of the solved
+    phases' (each checked by the solve) plus round-off.  WeightedSum does not
+    qualify: its multiplier is zero in floored cells, where sum_i du_i is not.
     """
     check_scheme(state.spec, model, dt, scheme)
     u = state.values
@@ -316,11 +328,19 @@ def advance(
         new = np.multiply(dt, fe.rhs)
         new += u
     else:
-        # u + dt (rhs - lap), formed in scratch.
-        imex_rhs = np.subtract(fe.rhs, fe.lap, out=g._scratch(u.shape, "stack_a"))
+        # u + dt (rhs - lap) for the m solved phases, formed in scratch.
+        m = u.shape[0] - (model.kind == ModelKind.MEAN_SHIFT)
+        imex_rhs = np.subtract(fe.rhs[:m], fe.lap[:m], out=g._scratch(u.shape, "stack_a")[:m])
         imex_rhs *= dt
-        imex_rhs += u
-        new = g.helmholtz_solve_raw(imex_rhs, 1.0, dt, state.spec)
+        imex_rhs += u[:m]
+        new = np.empty(u.shape)
+        g.helmholtz_solve_raw(imex_rhs, 1.0, dt, state.spec, out=new[:m])
+        if m < u.shape[0]:  # the last phase is S minus the solved ones
+            last = np.add(u[0], u[1], out=new[-1])
+            for phase in u[2:]:
+                last += phase
+            for phase in new[:-1]:
+                last -= phase
     try:
         out = PhaseField(state.spec, new, state.time + dt)
     except ValueError as exc:  # non-finite entries; the shape is the state's

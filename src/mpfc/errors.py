@@ -48,6 +48,11 @@ class BlowUpError(MpfcError):
 class ProjectionError(MpfcError):
     """Constraint projection failed (bad bracket or state too far off manifold)."""
 
+    def __init__(self, message: str, step_index: int | None = None, time: float | None = None):
+        super().__init__(message)
+        self.step_index = step_index
+        self.time = time
+
 
 class ProjectionSingularError(ProjectionError):
     """Radial projection undefined: zero vector encountered."""

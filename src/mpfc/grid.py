@@ -21,7 +21,7 @@ Temporaries of the time step live in per-thread scratch (``_scratch``), which
 this module, ``dynamics`` and ``analysis`` share.  The rule: a scratch buffer
 never leaves the function that fills it.  Every array a caller receives (a
 stencil's result, a solve's output, a ``FlowEval`` field, a new state) is
-freshly allocated, so a later call cannot change it.
+freshly allocated or the caller's own ``out=``, so no later call changes it.
 
 ``helmholtz_solve_raw`` inverts (a*I - b*Lap_h) by diagonalizing the exact
 stencil symbol with the FFT, so its Laplacian matches ``laplacian_raw`` to
@@ -275,12 +275,15 @@ def stencil_symbol(spec: GridSpec) -> np.ndarray:
     return sym
 
 
-def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec) -> np.ndarray:
+def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Solve (a*I - b*Lap_h) x = rhs on the torus; axes before the last ``spec.d`` stack fields.
 
     The solve diagonalizes the exact stencil symbol by FFT, so the operator
     being inverted is identical to ``laplacian_raw``.  The residual contract
     ``max|a x - b Lap x - rhs| <= 1e-10 max|rhs|`` is verified on every call.
+    ``out``, if given, is a caller-owned C-contiguous float64 array of
+    ``rhs``'s shape that receives x; it is not scratch, and x is ``out``.
     """
     if not a > 0:
         raise ValueError(f"helmholtz_solve_raw requires a > 0, got a={a}")
@@ -296,10 +299,10 @@ def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec) -> 
     np.fft.rfftn(rhs, axes=axes, out=spectrum)
     spectrum /= denom
     # irfftn's own sequence, with the complex inverses in place: ifft along
-    # every axis but the last, then irfft along the last into a fresh x.
+    # every axis but the last, then irfft along the last into ``out`` or a fresh x.
     for ax in axes[:-1]:
         np.fft.ifft(spectrum, axis=ax, out=spectrum)
-    x = np.fft.irfft(spectrum, n=spec.n, axis=axes[-1])
+    x = np.fft.irfft(spectrum, n=spec.n, axis=axes[-1], out=out)
     # residual = a x - b Lap x - rhs, in that order: b Lap x in the residual
     # buffer, a x in the Laplacian's neighbour-sum buffer, free once it returns.
     residual = laplacian_raw(x, spec.h, axis_offset, out=_scratch(x.shape, "residual"))

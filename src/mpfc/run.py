@@ -104,9 +104,9 @@ def run_simulation(
     present.  With ``out_dir`` set, a snapshot file is written at every
     sample and ``timeseries.csv`` at the end.  When a step fails, by blow-up
     or by a ``ProjectionError``, the last sampled state is persisted as
-    ``last_good.mpfc`` before the error propagates; a blow-up is re-raised
-    naming the step and time that went non-finite.  ``t_end`` is rounded to
-    a whole number of steps.
+    ``last_good.mpfc`` and the samples so far as ``timeseries.csv``; then the
+    error is re-raised as its own class, naming the failing step and time.
+    ``t_end`` is rounded to a whole number of steps.
     """
     phis = brakke_phis or {}
     if "one" in phis:
@@ -161,6 +161,7 @@ def run_simulation(
         )
 
     step_index = 0
+    failure: BlowUpError | ProjectionError | None = None
     try:
         for step_index in range(n_steps + 1):
             fe = flow(state, model)
@@ -202,16 +203,7 @@ def run_simulation(
             state = advance(state, model, dt, scenario.scheme, fe, project)
             del fe  # free this step's flow arrays before the next flow call allocates
     except (BlowUpError, ProjectionError) as exc:
-        if out_path is not None:
-            write_snapshot(last_snapshot, model, out_path / "last_good.mpfc")
-        if isinstance(exc, ProjectionError):
-            raise
-        raise BlowUpError(
-            f"blow-up at step {step_index + 1} (t={exc.time:.6g}); "
-            f"last good snapshot at t={last_snapshot.time:.6g}",
-            step_index=step_index + 1,
-            time=exc.time,
-        ) from exc
+        failure = exc
 
     brakke = {
         name: BrakkeSeries(
@@ -236,6 +228,16 @@ def run_simulation(
         record.holder = {"holder_constant": float(np.max(ratios)), "n_pairs": len(ratios)}
     if out_path is not None:
         emit_timeseries(record, out_path / "timeseries.csv")
+    if failure is not None:
+        if out_path is not None:
+            write_snapshot(last_snapshot, model, out_path / "last_good.mpfc")
+        time = state.time + dt  # the failing step is the advance from ``state``
+        raise type(failure)(
+            f"step {step_index + 1} (t={time:.6g}): {failure}; "
+            f"last good snapshot at t={last_snapshot.time:.6g}",
+            step_index=step_index + 1,
+            time=time,
+        ) from failure
     return record
 
 

@@ -29,7 +29,7 @@ from mpfc.errors import (
     ProjectionError,
     ProjectionSingularError,
 )
-from mpfc.grid import GridSpec, integrate_raw, laplacian_raw
+from mpfc.grid import GridSpec, helmholtz_solve_raw, integrate_raw, laplacian_raw
 from mpfc.potential import SIGMA, double_well_prime, sqrt_double_well, well_primitive
 from mpfc.scenarios import TripleJunction
 
@@ -470,10 +470,14 @@ class TestWeightedSquareProjectionMatchesReference:
 
 
 class TestConservationUnderStepping:
-    def run_drift(self, kind, n_phases, dt_factor, t_end=0.004, n=128):
+    def run_drift(self, kind, n_phases, dt_factor, t_end=0.004, n=128, junction=False):
         eps = 8.0 / n
         model = ModelSpec(kind, eps, n_phases)
-        state = disk_state(n, eps, n_phases=n_phases)
+        if junction:
+            spec = GridSpec(2, n)
+            state = PhaseField(spec, TripleJunction().profiles(spec, eps))
+        else:
+            state = disk_state(n, eps, n_phases=n_phases)
         state = project_constraint(state, model, max_violation=np.inf)
         dt = state.spec.h**2 * dt_factor
         for _ in range(int(round(t_end / dt))):
@@ -482,6 +486,8 @@ class TestConservationUnderStepping:
 
     def test_mean_shift_conserves_exactly_without_projection(self):
         assert self.run_drift(ModelKind.MEAN_SHIFT, 2, 1.0) < 1e-13
+        # N = 3: two solved phases, the third derived from the phase sum.
+        assert self.run_drift(ModelKind.MEAN_SHIFT, 3, 1.0, junction=True) < 1e-13
 
     def test_weighted_sum_conserves_exactly_without_projection(self):
         assert self.run_drift(ModelKind.WEIGHTED_SUM, 2, 1.0) < 1e-13
@@ -499,6 +505,35 @@ class TestConservationUnderStepping:
         for _ in range(60):
             state = advance(state, model, dt, "IMEX", flow(state, model), project=True)
         assert constraint_violation(state, model) < 1e-12
+
+
+class TestMeanShiftDerivedPhase:
+    """MeanShift's IMEX step solves N - 1 phases; the last is the old phase sum
+    minus the solved ones, on the constraint manifold and off it."""
+
+    @pytest.mark.parametrize("on_manifold", [True, False], ids=["on-manifold", "off-manifold"])
+    @pytest.mark.parametrize("n_phases", [2, 3])
+    def test_imex_step_matches_the_full_solve(self, n_phases, on_manifold):
+        n = 64
+        spec = GridSpec(2, n)
+        eps = 8.0 / n
+        model = ModelSpec(ModelKind.MEAN_SHIFT, eps, n_phases)
+        if on_manifold:
+            u = disk_state(n, eps).values if n_phases == 2 else TripleJunction().profiles(spec, eps)
+            state = project_constraint(PhaseField(spec, u), model, max_violation=np.inf)
+        else:
+            state = random_smooth_state(spec, n_phases, seed=11)
+            assert constraint_violation(state, model) > 0.01
+        dt = 2.0 * spec.h**2
+        fe = flow(state, model)
+        new = advance(state, model, dt, "IMEX", fe).values
+        # The full N-phase IMEX right-hand side, in advance's order of operations.
+        rhs = (fe.rhs - fe.lap) * dt + state.values
+        full = helmholtz_solve_raw(rhs, 1.0, dt, spec)
+        assert np.all(new[:-1] == full[:-1])
+        assert np.max(np.abs(new[-1] - full[-1])) <= 1e-13
+        residual = new[-1] - dt * laplacian_raw(new[-1], spec.h) - rhs[-1]
+        assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(rhs))
 
 
 class TestSmoothnessGuard:
@@ -546,9 +581,11 @@ def steady_state_advance_peak(kind: ModelKind) -> float:
 # Readings with numpy 2.4.6: before the step's temporaries moved to scratch
 # SphereLL 15.8, MeanShift 10.7, WeightedSum 10.7, WeightedSquare 35.3; after
 # 8.1, 6.1, 6.1 and 9.2, and WeightedSquare 8.1 once its projection dropped the
-# compaction's index arrays.  What remains is the solve's output, the projected
-# state, the finiteness masks and numpy's 64 KB iteration buffer for ufuncs
-# with a broadcast operand (two grid arrays at n = 64, a constant in n).
+# compaction's index arrays.  MeanShift still reads 6.1 (6.07) with its IMEX
+# step solving N - 1 phases into the new state.  What remains is the solve's
+# output, the projected state, the finiteness masks and numpy's 64 KB
+# iteration buffer for ufuncs with a broadcast operand (two grid arrays at
+# n = 64, a constant in n).
 @pytest.mark.parametrize(
     "kind, bound",
     [

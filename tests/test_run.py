@@ -131,7 +131,7 @@ class TestRunSimulation:
     def test_failed_run_leaves_last_good_snapshot(self, tmp_path, projection, error):
         # dt = 0.05 is far beyond the stable step: the unprojected state goes
         # non-finite at step 8, the projected one strays further from the
-        # manifold than the projection accepts.
+        # manifold than the projection accepts at step 6.
         n = 64
         spec = GridSpec(2, n)
         scn = Scenario(
@@ -140,12 +140,16 @@ class TestRunSimulation:
         )
         with pytest.raises(error) as info:
             run_simulation(scn, out_dir=tmp_path)
-        last = sorted(tmp_path.glob("snap_*.mpfc"))[-1]
-        assert (tmp_path / "last_good.mpfc").read_bytes() == last.read_bytes()
-        if error is BlowUpError:
-            assert info.value.step_index == 8
-            assert info.value.time == pytest.approx(8 * 0.05, rel=1e-12)
-            assert "step 8" in str(info.value)
+        snaps = sorted(tmp_path.glob("snap_*.mpfc"))
+        assert (tmp_path / "last_good.mpfc").read_bytes() == snaps[-1].read_bytes()
+        step = 8 if error is BlowUpError else 6
+        assert type(info.value) is error
+        assert info.value.step_index == step
+        assert info.value.time == pytest.approx(step * 0.05, rel=1e-12)
+        assert f"step {step} " in str(info.value)
+        # The samples taken before the failure: a header and one row per snapshot.
+        rows = (tmp_path / "timeseries.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(snaps)
 
     def test_keep_states(self):
         rec = run_simulation(disk_scenario(t_end=0.002), keep_states=True)
