@@ -286,7 +286,12 @@ def _check_test_function(phi: ScalarField, spec: GridSpec) -> None:
 
 def mu_of_phi(state: PhaseField, eps: float, phi_values: np.ndarray) -> float:
     """int phi d(mu_t) for a nonnegative test function sampled on the grid."""
-    energy = SIGMA_INV * sum(energy_densities(state, eps)[1])
+    return _mu_of_phi(state, energy_densities(state, eps)[1], phi_values)
+
+
+def _mu_of_phi(state: PhaseField, energy_dens: np.ndarray, phi_values: np.ndarray) -> float:
+    """``mu_of_phi`` from the state's stacked energy densities (``energy_densities(...)[1]``)."""
+    energy = SIGMA_INV * sum(energy_dens)
     return g.integrate_raw(phi_values * energy, state.spec.h, state.spec.d)
 
 

@@ -125,8 +125,13 @@ def measure_sample(state: PhaseField, model: ModelSpec) -> MeasureSample:
     root of the energy's gradient density, so AM-GM, eps a^2/2 + W/eps >=
     a sqrt(2W), gives bv_i <= energy_i cell by cell.
     """
+    return _measure_sample(state, model, energy_densities(state, model.eps))
+
+
+def _measure_sample(state: PhaseField, model: ModelSpec, densities) -> MeasureSample:
+    """``measure_sample`` from the state's ``energy_densities(state, model.eps)``."""
     h, d = state.spec.h, state.spec.d
-    grad_sq, energy_dens, disc_dens = energy_densities(state, model.eps)
+    grad_sq, energy_dens, disc_dens = densities
     energy = _integrate_phases(state, energy_dens)
     volumes = np.array([g.integrate_raw(state.values[i], h, d) for i in range(state.n_phases)])
     return MeasureSample(

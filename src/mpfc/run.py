@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import grid as g
-from .analysis import _check_test_function, brakke_rhs_integrand, mu_of_phi
-from .diagnostics import MeasureSample, measure_sample
+from .analysis import _check_test_function, _mu_of_phi, brakke_rhs_integrand
+from .diagnostics import MeasureSample, _measure_sample, energy_densities
 from .dynamics import PhaseField, advance, check_scheme, flow, max_neighbor_jump
 from .errors import BlowUpError, ProjectionError, ScenarioError
 from .grid import ScalarField
@@ -174,12 +174,15 @@ def run_simulation(
             prev_integrand = integrand
 
             if step_index in sample_set:
-                sample = measure_sample(state, model)
+                # One pass of the energy densities serves the sample and every series.
+                densities = energy_densities(state, model.eps)
+                sample = _measure_sample(state, model, densities)
                 samples.append(sample)
                 rates.append(fe.rate)
                 mu_phi_at_sample["one"].append(sample.energy_total)
                 for name, pv in phi_vals.items():
-                    mu_phi_at_sample[name].append(mu_of_phi(state, model.eps, pv))
+                    mu_phi_at_sample[name].append(_mu_of_phi(state, densities[1], pv))
+                del densities
                 for name in names:
                     rhs_cum_at_sample[name].append(rhs_cum[name])
                 if states is not None:

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import disk_state, double_profile, random_smooth_state, strip_state, projected_sphere_state
+import mpfc.dynamics as dynamics
 from mpfc.dynamics import (
     ModelKind,
     ModelSpec,
@@ -317,6 +318,30 @@ class TestProjection:
         assert np.all(np.abs(shift[0] - root) <= 1e-12 + fuzz)
         assert constraint_violation(PhaseField(spec, out), model) <= 1e-13
 
+    @pytest.mark.parametrize("case", ["overshoot", "past-branch-end", "raw-junction"])
+    def test_weighted_square_branch_crossings_match_scalar_root(self, case):
+        """Roots where phases cross a branch end (0 or 1), against brentq."""
+        spec = GridSpec(2, 24)
+        model = ModelSpec(ModelKind.WEIGHTED_SQUARE, 0.05, 3)
+        if case == "overshoot":  # a phase above 1 and one below 0 in every cell
+            a, b, c = np.random.default_rng(7).uniform(0.0, 0.05, (3,) + spec.shape)
+            u = np.stack([1.0 + a, -b, c - 0.025])
+        elif case == "past-branch-end":
+            u = random_smooth_state(spec, 3, seed=21, amplitude=0.3).values.copy()
+            u[0] += 1.5
+        else:
+            u = TripleJunction().profiles(spec, 2.0 / 24)
+        out = project_constraint(PhaseField(spec, u), model, max_violation=np.inf).values
+        shift = out - u
+        assert np.max(np.ptp(shift, axis=0)) <= 1e-15
+        root = np.array([self.scalar_shift(u[:, i, j]) for i, j in np.ndindex(spec.shape)])
+        root = root.reshape(spec.shape)
+        fuzz = np.finfo(float).eps / np.sum(sqrt_double_well(u + root[None]), axis=0)
+        assert np.all(np.abs(shift[0] - root) <= 1e-12 + fuzz)
+        assert constraint_violation(PhaseField(spec, out), model) <= 1e-13
+        if case != "raw-junction":
+            assert np.any(((u < 0.0) != (out < 0.0)) | ((u > 1.0) != (out > 1.0)))
+
     def test_weighted_square_cells_on_manifold_unchanged(self):
         spec = GridSpec(2, 32)
         model = ModelSpec(ModelKind.WEIGHTED_SQUARE, 0.05, 3)
@@ -341,6 +366,14 @@ class TestProjection:
         with pytest.raises(ProjectionError, match="bracket"):
             project_constraint(far, model, max_violation=np.inf)
 
+    def test_violation_that_could_overflow_is_rejected(self, spec64):
+        # The projected state is not scanned for non-finite values.  Here the
+        # mean shift of 5e307 would carry phase 0 from 1.5e308 to overflow.
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 3)
+        state = wells_state(spec64, (1.5e308, -1.5e308, -1.5e308))
+        with pytest.raises(ProjectionError, match="from the constraint manifold"):
+            project_constraint(state, model, max_violation=np.inf)
+
     def test_sphere_zero_vector_is_singular(self, spec64):
         model = ModelSpec(ModelKind.SPHERE_LL, 0.05, 2)
         state = wells_state(spec64, (0.0, 0.0))
@@ -354,9 +387,11 @@ class TestProjection:
             project_constraint(state, model)
 
 
-# The weighted-square projection as it was before it moved into scratch
-# buffers, with the plain formulas of k and g: the reference the scratch
-# version must match bitwise (same operands, same operations, same order).
+# The weighted-square projection written with whole-array numpy expressions
+# and the plain formulas of k and g: the reference the scratch version must
+# match bitwise (same operands, same operations, same order).  A phase with no
+# branch end ahead gets an infinite distance here through np.where, where the
+# scratch version lifts its distance past the cap; both end at the cap.
 
 
 def plain_k(s):
@@ -369,43 +404,56 @@ def plain_g(s):
     return np.abs(s * (1.0 - s))
 
 
-def reference_project_weighted_square(u, defect, max_iter=60, tol=1e-12):
-    target = 1.0 / 6.0
-    shift = np.zeros(defect.size)
-    cells = np.flatnonzero(np.abs(defect) > 1e-13)
-    v = np.take(u.reshape(u.shape[0], -1), cells, axis=1)
-    f = defect.ravel()[cells]
-
-    side = np.where(f > 0.0, -0.5, 0.5)
-    for _ in range(12):
-        short = np.sign(np.sum(plain_k(v + side), axis=0) - target) == np.sign(f)
+def reference_project_weighted_square(u, defect, max_iter=60, tol=1e-12, cap=1024.0,
+                                      slack=2.0**-36):
+    active = np.abs(defect) > 1e-13
+    base = np.zeros(defect.shape)
+    c0 = defect
+    v = u
+    expansions = 2 * u.shape[0]
+    for expansion in range(expansions + 1):
+        # f(base + tau) = c0 + c1 tau + c2 tau^2 + c3 tau^3 up to the end.
+        c1 = np.sum(plain_g(v), axis=0)
+        sign = np.copysign(1.0, c0)
+        y = (0.5 - v) * sign
+        s = np.copysign(1.0, 0.5 - np.abs(y + slack))
+        c3 = np.sum(s, axis=0) / -3.0
+        c2 = np.sum(y * s, axis=0) * sign
+        dist = s * 0.5 - y
+        end = -sign * np.min(np.where(dist < 0.0, np.inf, dist), axis=0)
+        capped = np.abs(base + end) > cap
+        end = np.where(capped, -sign * cap - base, end)
+        f_end = ((c3 * end + c2) * end + c1) * end + c0
+        short = active & (f_end * c0 > 0.0)
         if not short.any():
             break
-        side = np.where(short, 2.0 * side, side)
-    else:
-        raise ProjectionError("bracket failure in weighted-square projection")
-    lo = np.minimum(side, 0.0)
-    hi = np.maximum(side, 0.0)
+        if expansion == expansions or (short & capped).any():
+            raise ProjectionError("bracket failure in weighted-square projection")
+        base = np.where(short, base + end, base)
+        v = u + base
+        c0 = np.sum(plain_k(v), axis=0) - 1.0 / 6.0
 
-    t = np.zeros(cells.size)
-    fprime = np.sum(plain_g(v), axis=0)
+    lo = np.minimum(end, 0.0)
+    hi = np.maximum(end, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = c0 / c1
+        t = -(x * (c2 * x / c1 + 1.0))
+    t = np.where((t >= lo) & (t <= hi) & active, t, 0.0)
     for _ in range(max_iter):
+        q = c3 * t + c2
+        r = q * t + c1
+        f = r * t + c0
+        fprime = r + (c3 * t + q) * t
         hi = np.where(f >= 0.0, t, hi)
         lo = np.where(f <= 0.0, t, lo)
         with np.errstate(divide="ignore", invalid="ignore"):
             new = t - f / fprime
-        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        new = np.where((new >= lo) & (new <= hi), new, (lo + hi) * 0.5)
         done = np.abs(new - t) <= tol
-        t = new
-        shift[cells[done]] = t[done]
-        keep = ~done
-        cells, t, lo, hi = cells[keep], t[keep], lo[keep], hi[keep]
-        if cells.size == 0:
-            return u + shift.reshape(defect.shape)[None]
-        v = np.compress(keep, v, axis=1)
-        s = v + t
-        f = np.sum(plain_k(s), axis=0) - target
-        fprime = np.sum(plain_g(s), axis=0)
+        t = np.where(active, new, t)
+        active = active & ~done
+        if not active.any():
+            return u + (t + base)[None]
     raise ProjectionError(
         f"weighted-square Newton iteration did not reach tol={tol} in {max_iter} iterations"
     )
@@ -437,24 +485,28 @@ class TestWeightedSquareProjectionMatchesReference:
         self.check(random_smooth_state(GridSpec(2, 32), 3, seed=seed, amplitude=0.3).values)
 
     def test_near_well_cells_need_many_newton_iterations(self):
+        # Near the wells f is flat (sum g is about 1e-5), and the cells need up
+        # to three Newton passes on their cubic.
         spec = GridSpec(2, 32)
         rng = np.random.default_rng(3)
         u = wells_state(spec, (1.0, 0.0, 0.0)).values + 1e-5 * rng.uniform(-1, 1, (3,) + spec.shape)
         defect = constraint_values(PhaseField(spec, u), self.model)
         with pytest.raises(ProjectionError, match="did not reach"):
-            _project_weighted_square(u, defect, max_iter=10)
+            _project_weighted_square(u, defect, max_iter=2)
         self.check(u)
 
     def test_state_that_needs_bracket_doubling(self):
         u = random_smooth_state(GridSpec(2, 32), 3, seed=4, amplitude=0.3).values.copy()
         u[0] += 1.5
-        # A shift beyond the first bracket [-0.5, 0.5] is found only by doubling.
+        # Phase 0 starts above 1, and a shift past its branch end at 1 is found
+        # only by expanding again there.
         assert np.max(np.abs(self.check(u) - u)) > 0.5
 
     def test_frozen_cells_beside_cells_still_iterating(self):
-        # Cells a small step off the manifold converge in 1-3 Newton passes,
-        # the near-well block needs more than 10 and the shifted block needs
-        # bracket doubling, so frozen cells sit beside cells still iterating.
+        # Cells a small step off the manifold converge in the first Newton
+        # pass, the near-well block takes up to three and the shifted block,
+        # whose roots lie past a branch end, up to four, so frozen cells sit
+        # beside cells still iterating.
         spec = GridSpec(2, 32)
         rng = np.random.default_rng(3)
         smooth = random_smooth_state(spec, 3, seed=4, amplitude=0.3).values
@@ -465,7 +517,7 @@ class TestWeightedSquareProjectionMatchesReference:
         u[0, 20:, 16:] += 1.5
         defect = constraint_values(PhaseField(spec, u), self.model)
         with pytest.raises(ProjectionError, match="did not reach"):
-            _project_weighted_square(u, defect, max_iter=10)
+            _project_weighted_square(u, defect, max_iter=3)
         assert np.max(np.abs(self.check(u) - u)) > 0.5
 
 
@@ -617,3 +669,23 @@ def test_weighted_square_projection_allocates_only_its_result():
     finally:
         tracemalloc.stop()
     assert peak - base - u.nbytes < 8 * n * n / 8
+
+
+def test_weighted_square_projection_is_one_stack_pass(monkeypatch):
+    """A projection evaluates k and g on the (N, n, n) stack once each: k for
+    the defect and g for the slope of each cell's cubic."""
+    n = 128
+    spec = GridSpec(2, n)
+    model = ModelSpec(ModelKind.WEIGHTED_SQUARE, 8.0 / n, 3)
+    state = PhaseField(spec, TripleJunction().profiles(spec, 8.0 / n))
+    state = project_constraint(state, model, max_violation=np.inf)
+    state = advance(state, model, spec.h**2, "IMEX", flow(state, model))
+    calls = {"_well_primitive_into": 0, "_sqrt_double_well_into": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(dynamics, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    project_constraint(state, model)
+    assert calls == {"_well_primitive_into": 1, "_sqrt_double_well_into": 1}
