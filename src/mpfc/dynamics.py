@@ -388,13 +388,13 @@ def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 
     needs one end: the nearest branch end of any phase on that side, but no
     further than ``_SHIFT_CAP`` from t = 0.  A phase within ``_BRANCH_SLACK``
     before a branch end counts as past it; its two branch cubics differ there
-    by under slack^2, far below the round-off of f.  The expansion starts at
-    b = 0 from the given defect and one stack pass of g.  Where the cubic at
-    the end keeps the sign of f(b), the root lies past it, and those cells
-    expand again there (a stack pass of k and of g at u + b).  That moves a
-    phase onto its next branch, so N phases need at most 2N expansions; a
-    root beyond the cap or still past the end after them raises "bracket
-    failure".
+    by about slack^2 at most, far below the round-off of f.  The expansion
+    starts at b = 0 from the given defect and one stack pass of g.  Where the
+    cubic at the end keeps the sign of f(b), the root lies past it, and those
+    cells expand again there (a stack pass of k and of g at u + b).  That
+    moves a phase onto its next branch, so N phases need at most 2N
+    expansions; a root beyond the cap or still past the end after them raises
+    "bracket failure".
 
     Newton then runs on the cubic in the bracket between 0 and the end,
     starting from the cubic's root to second order where that lies in the
