@@ -368,8 +368,10 @@ def brakke_residual(
 
     phis = as_list(phi, "phi")
     dphis = as_list(dphi_dt, "dphi_dt")
-    for f, st in zip(phis, run):
+    for f, df, st in zip(phis, dphis, run):
         _check_test_function(f, st.spec)
+        if df is not None and df.spec != st.spec:
+            raise InputError(f"d_t phi lives on {df.spec}, the run on {st.spec}")
 
     lhs = np.empty(n_snap)
     integrand = np.empty(n_snap)

@@ -86,26 +86,26 @@ def _parse_geometry(text: str):
             args = [float(a) for a in argtext.split(",")]
         except ValueError as exc:
             raise ConfigurationError(f"bad geometry arguments in {text!r}") from exc
-    try:
-        if name == "Disk":
-            return Disk() if not args else Disk(center=tuple(args[:-1]), radius=args[-1])
-        if name == "FlatStrip":
-            return FlatStrip() if not args else FlatStrip(lo=args[0], hi=args[1])
-        if name == "DoubleStrip":
-            if not args:
-                return DoubleStrip()
-            return DoubleStrip(bands=((args[0], args[1]), (args[2], args[3])))
-        if name == "TwoDisks":
-            if not args:
-                return TwoDisks()
-            return TwoDisks(
-                centers=((args[0], args[1]), (args[3], args[4])),
-                radii=(args[2], args[5]),
-            )
-        if name == "TripleJunction":
-            return TripleJunction() if not args else TripleJunction(angles=tuple(args))
-    except (IndexError, TypeError) as exc:
-        raise ConfigurationError(f"wrong number of geometry arguments in {text!r}") from exc
+    arity = {"FlatStrip": 2, "DoubleStrip": 4, "TwoDisks": 6, "TripleJunction": 3}.get(name)
+    if args and arity is not None and len(args) != arity:
+        raise ConfigurationError(f"{name} takes {arity} arguments, got {len(args)} in {text!r}")
+    if name == "Disk":
+        return Disk() if not args else Disk(center=tuple(args[:-1]), radius=args[-1])
+    if name == "FlatStrip":
+        return FlatStrip() if not args else FlatStrip(lo=args[0], hi=args[1])
+    if name == "DoubleStrip":
+        if not args:
+            return DoubleStrip()
+        return DoubleStrip(bands=((args[0], args[1]), (args[2], args[3])))
+    if name == "TwoDisks":
+        if not args:
+            return TwoDisks()
+        return TwoDisks(
+            centers=((args[0], args[1]), (args[3], args[4])),
+            radii=(args[2], args[5]),
+        )
+    if name == "TripleJunction":
+        return TripleJunction() if not args else TripleJunction(angles=tuple(args))
     raise ConfigurationError(f"unknown geometry {name!r}")
 
 

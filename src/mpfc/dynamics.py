@@ -34,9 +34,8 @@ fixed pointwise, on or off the manifold, so the last phase is the old sum
 minus the others.  WeightedSum floors its multiplier, so it solves them all.
 
 The WeightedSquare projection shifts a cell's phases by the t that solves
-sum_j k(u_j + t) = 1/6, a cubic in t between the branch ends 0 and 1 of k:
-one pass of k and one of g over the phase stack give each cell's cubic, and
-grid-shaped Newton finds its root.
+sum_j k(u_j + t) = 1/6: grid-shaped safeguarded Newton on that equation,
+started from the root of its second-order expansion at t = 0.
 
 States are never clamped: overshoot outside [0, 1] is reported by the
 diagnostics, not repaired, because clamping would corrupt the energy
@@ -90,8 +89,6 @@ _SHIFT_TOL = 1e-12
 # Its root search reaches shifts up to this size; a root further out is a
 # bracket failure.
 _SHIFT_CAP = 1024.0
-# A phase value this close before a branch end (0 or 1) counts as past it.
-_BRANCH_SLACK = 2.0**-36
 
 # The step's temporaries live in per-thread scratch (``grid._scratch``).  The
 # float "stack_a/b/c" and bool "stack_mask" slots have the state's shape and
@@ -149,11 +146,8 @@ class PhaseField:
     def n_phases(self) -> int:
         return self.values.shape[0]
 
-    def with_values(self, values: np.ndarray, time: float | None = None) -> "PhaseField":
-        return PhaseField(self.spec, values, self.time if time is None else time)
-
     def _with_finite_values(self, values: np.ndarray) -> "PhaseField":
-        """``with_values(values)`` without the checks, for a fresh C-contiguous
+        """This state's grid and time with ``values``, unchecked: a fresh C-contiguous
         float64 array of this state's shape whose entries are known finite."""
         new = object.__new__(PhaseField)
         values.flags.writeable = False
@@ -374,110 +368,39 @@ def advance(
 
 def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 60) -> np.ndarray:
     """Per-cell scalar shift t with f(t) = sum_i k(u_i + t) - 1/6 = 0, by
-    safeguarded Newton on the cubic that f is between branch ends.
+    safeguarded Newton on f itself (rtsafe, Numerical Recipes 9.4).
 
-    ``defect`` is f(0) per cell; f is nondecreasing.  k is a cubic on each of
-    its branches s < 0, 0 <= s <= 1 and s > 1, so until some u_i + b + tau
-    crosses 0 or 1, f is exactly the cubic
-
-        f(b + tau) = f(b) + c1 tau + c2 tau^2 + c3 tau^3,
-        c1 = sum_i g(v_i),  c2 = sum_i s_i (1/2 - v_i),  c3 = -sum_i s_i / 3,
-
-    with v = u + b and s_i = +1 on the middle branch, -1 on the outer ones.
-    The root lies on the side of b that the sign of f(b) gives, so a cell
-    needs one end: the nearest branch end of any phase on that side, but no
-    further than ``_SHIFT_CAP`` from t = 0.  A phase within ``_BRANCH_SLACK``
-    before a branch end counts as past it; its two branch cubics differ there
-    by about slack^2 at most, far below the round-off of f.  The expansion
-    starts at b = 0 from the given defect and one stack pass of g.  Where the
-    cubic at the end keeps the sign of f(b), the root lies past it, and those
-    cells expand again there (a stack pass of k and of g at u + b).  That
-    moves a phase onto its next branch, so N phases need at most 2N
-    expansions; a root beyond the cap or still past the end after them raises
-    "bracket failure".
-
-    Newton then runs on the cubic in the bracket between 0 and the end,
-    starting from the cubic's root to second order where that lies in the
-    bracket (its error, of order tau^3, goes in the first step) and from 0
-    elsewhere.  Each step shrinks the bracket by the sign of the cubic; where
-    the step is not finite or leaves the bracket the midpoint is taken
-    (rtsafe, Numerical Recipes 9.4).  Cells on the manifold (|f(0)| <= 1e-13)
-    keep t = 0 exactly: near wells floating point flattens f, so a root
-    search would wander off.  Every pass is grid shaped, in per-thread
-    scratch; a cell takes each pass's new tau until its step is within
-    ``_SHIFT_TOL``, then freezes, still evaluated but ignored.
+    ``defect`` is f(0) per cell.  f is nondecreasing with f' = sum_i g(u_i + t),
+    so every root the cap allows lies in the bracket [-2 cap, 2 cap]
+    (cap = ``_SHIFT_CAP``), which each pass shrinks by the sign of f at the
+    iterate.  Newton starts from the root of f's second-order expansion at 0,
+    tau1 (1 - c2 tau1 / c1) with tau1 = -f(0) / c1, c1 = f'(0) and
+    c2 = N/2 - sum_i u_i, which is f''(0)/2 where every phase lies in [0, 1];
+    where that start is not finite, outside the bracket or the cell inactive,
+    it starts from 0.  Where a step is not finite or leaves the bracket the
+    midpoint is taken.  A pass evaluates k and g once on u + t, grid shaped
+    with temporaries in per-thread scratch; a cell takes each pass's new t
+    until its step is within ``_SHIFT_TOL``, then freezes, still evaluated but
+    ignored.  A converged shift beyond the cap raises "bracket failure".
+    Cells on the manifold (|f(0)| <= 1e-13) keep t = 0 exactly: near wells
+    floating point flattens f, so a root search would wander off.
     """
     def slot(name, dtype=np.float64):
         return g._scratch(defect.shape, "project_" + name, dtype)
 
-    c0, c1, c2, c3, base, lo, hi = map(slot, ("c0", "c1", "c2", "c3", "base", "lo", "hi"))
+    t, lo, hi, f, fprime, tmp = map(slot, ("t", "lo", "hi", "f", "fprime", "tmp"))
     active, mask, done = (slot(name, bool) for name in ("active", "mask", "done"))
-    stack_a, stack_b, stack_c = (g._scratch(u.shape, name) for name in ("stack_a", "stack_b", "stack_c"))
-    # The other grid-shaped temporaries are planes of the stacks (N >= 2): the
-    # bracket search uses them only after it has read the stacks, and Newton
-    # uses no stack.  While the bracket is sought, lo holds the sign of f(b)
-    # and hi the end.
-    f, fprime, t, new, tmp = stack_a[0], stack_a[1], stack_b[0], stack_b[1], stack_c[0]
-    sign, end = lo, hi
+    stack_a, v = g._scratch(u.shape, "stack_a"), g._scratch(u.shape, "stack_c")
 
     np.greater(np.abs(defect, out=tmp), 1e-13, out=active)
-    np.copyto(c0, defect)
-    base.fill(0.0)
-    v = u
-    expansions = 2 * u.shape[0]
-    for expansion in range(expansions + 1):
-        np.sum(_sqrt_double_well_into(v, stack_a), axis=0, out=c1)
-        # y_i = sign(f(b)) (1/2 - v_i) grows as tau moves toward the root; the
-        # branch ends sit at y = -1/2 and 1/2, the middle branch between them.
-        np.copysign(1.0, c0, out=sign)
-        y = np.multiply(np.subtract(0.5, v, out=stack_a), sign[None], out=stack_a)
-        s = np.add(y, _BRANCH_SLACK, out=stack_b)
-        np.subtract(0.5, np.abs(s, out=s), out=s)
-        np.copysign(1.0, s, out=s)
-        np.sum(s, axis=0, out=c3)
-        c3 /= -3.0
-        # The distance from y_i to the next branch end ahead is s_i / 2 - y_i,
-        # at least the slack; it is below -1/2 on the outer branch ahead, which
-        # has no end, and there max(d, -4 cap d) lifts it past any end the cap
-        # lets through.  Stack c (v after a crossing) is free once y is formed.
-        dist = np.multiply(s, 0.5, out=stack_c)
-        dist -= y
-        np.sum(np.multiply(y, s, out=stack_a), axis=0, out=c2)
-        c2 *= sign
-        np.maximum(dist, np.multiply(dist, -4.0 * _SHIFT_CAP, out=stack_a), out=dist)
-        np.min(dist, axis=0, out=end)
-        end *= sign
-        np.negative(end, out=end)
-        # Hold |b + end| within the cap; ``done`` marks the ends held there.
-        np.greater(np.abs(np.add(base, end, out=tmp), out=tmp), _SHIFT_CAP, out=done)
-        np.multiply(sign, -_SHIFT_CAP, out=tmp)
-        tmp -= base
-        np.copyto(end, tmp, where=done)
-        # The root is past the end where the cubic there keeps the sign of f(b).
-        np.multiply(c3, end, out=f)
-        f += c2
-        f *= end
-        f += c1
-        f *= end
-        f += c0
-        np.greater(np.multiply(f, c0, out=tmp), 0.0, out=mask)
-        mask &= active
-        if not mask.any():
-            break
-        if expansion == expansions or np.logical_and(mask, done, out=done).any():
-            raise ProjectionError("bracket failure in weighted-square projection")
-        np.add(base, end, out=base, where=mask)
-        v = np.add(u, base[None], out=stack_c)
-        _primitive_defect(v, c0)
-
-    np.minimum(end, 0.0, out=lo)
-    np.maximum(end, 0.0, out=hi)
-    # Newton starts from the root of the cubic to second order,
-    # tau1 (1 - c2 tau1 / c1) with tau1 = -c0 / c1, where that is finite, in
-    # the bracket and the cell active, and from tau = 0 elsewhere.
+    lo.fill(-2.0 * _SHIFT_CAP)
+    hi.fill(2.0 * _SHIFT_CAP)
+    # The start, with c1 in fprime and c2 in f.
+    np.sum(_sqrt_double_well_into(u, stack_a), axis=0, out=fprime)
+    np.subtract(0.5 * u.shape[0], np.sum(u, axis=0, out=f), out=f)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(c0, c1, out=t)
-        np.divide(np.multiply(c2, t, out=tmp), c1, out=tmp)
+        np.divide(defect, fprime, out=t)
+        np.divide(np.multiply(f, t, out=tmp), fprime, out=tmp)
         tmp += 1.0
         t *= tmp
         np.negative(t, out=t)
@@ -486,21 +409,14 @@ def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 
     mask &= active
     np.copyto(t, 0.0, where=np.logical_not(mask, out=mask))
     for _ in range(max_iter):
-        # f and f' = r + tau (q + c3 tau) at tau, with q = c3 tau + c2 and
-        # r = q tau + c1 the first two Horner stages of f.
-        q = np.multiply(c3, t, out=new)
-        q += c2
-        r = np.multiply(q, t, out=fprime)
-        r += c1
-        np.multiply(r, t, out=f)
-        f += c0
-        np.multiply(c3, t, out=tmp)
-        tmp += q
-        tmp *= t
-        fprime += tmp
+        for phase, shifted in zip(u, v):
+            np.add(phase, t, out=shifted)
+        _primitive_defect(v, f)
+        np.sum(_sqrt_double_well_into(v, stack_a), axis=0, out=fprime)
         np.copyto(hi, t, where=np.greater_equal(f, 0.0, out=mask))
         np.copyto(lo, t, where=np.less_equal(f, 0.0, out=mask))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        new = fprime
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.subtract(t, np.divide(f, fprime, out=new), out=new)
         # Where new is outside [lo, hi] (or not finite) take 0.5 (lo + hi).
         np.greater_equal(new, lo, out=mask)
@@ -511,12 +427,18 @@ def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 
         np.copyto(t, new, where=active)
         active &= np.logical_not(done, out=done)
         if not active.any():
-            t += base
-            return u + t[None]
-    raise ProjectionError(
-        f"weighted-square Newton iteration did not reach tol={_SHIFT_TOL} "
-        f"in {max_iter} iterations"
-    )
+            break
+    else:
+        raise ProjectionError(
+            f"weighted-square Newton iteration did not reach tol={_SHIFT_TOL} "
+            f"in {max_iter} iterations"
+        )
+    if np.max(np.abs(t, out=tmp)) > _SHIFT_CAP:
+        raise ProjectionError("bracket failure in weighted-square projection")
+    out = np.empty(u.shape)
+    for phase, shifted in zip(u, out):
+        np.add(phase, t, out=shifted)
+    return out
 
 
 def project_constraint(
@@ -525,9 +447,9 @@ def project_constraint(
     """Return the state projected exactly onto the model's constraint manifold.
 
     SphereLL normalizes radially; the sum models shift all phases by the mean
-    defect; WeightedSquare solves the per-cell scalar shift by Newton on each
-    cell's cubic (see ``_project_weighted_square``), starting from the same
-    defect that the violation check reads.  Raises ProjectionError when the
+    defect; WeightedSquare solves the per-cell scalar shift by safeguarded
+    Newton (see ``_project_weighted_square``), starting from the same defect
+    that the violation check reads.  Raises ProjectionError when the
     state is further than ``max_violation`` from the manifold (pass
     ``max_violation=inf`` for initial-data projection), or when its violation
     is not finite or reaches 2**969.

@@ -94,14 +94,14 @@ class DoubleStrip:
 
     def validate(self, eps: float) -> None:
         edges = []
-        for lo, hi in self.bands:
+        for lo, hi in sorted(self.bands):
             if not 0.0 <= lo < hi <= 1.0:
                 raise ScenarioError(f"band [{lo}, {hi}] must sit inside [0, 1]")
             edges += [lo, hi]
-        edges = np.sort(np.asarray(edges))
+        # Overlapping bands leave the edges out of order: a negative gap.
         gaps = np.diff(np.concatenate([edges, [edges[0] + 1.0]]))
         if np.min(gaps) < 6 * eps:
-            raise ScenarioError("double-strip interfaces closer than 6 eps")
+            raise ScenarioError("double-strip bands overlap or their interfaces are closer than 6 eps")
 
     def inside_profile(self, spec: GridSpec, eps: float) -> np.ndarray:
         x = spec.meshgrid()[0]
@@ -160,12 +160,7 @@ class TwoDisks:
             raise ScenarioError(f"two-disk interface gap {gap:.4f} is below 6 eps")
 
     def inside_profile(self, spec: GridSpec, eps: float) -> np.ndarray:
-        axes = spec.meshgrid()
-        u = np.zeros(spec.shape)
-        for c, r in zip(self.centers, self.radii):
-            rho = np.sqrt(sum(torus_delta(axes[a], c[a]) ** 2 for a in range(spec.d)))
-            u += optimal_profile(r - rho, eps)
-        return u
+        return sum(Disk(c, r).inside_profile(spec, eps) for c, r in zip(self.centers, self.radii))
 
     def interface_length(self, d: int) -> float:
         return _sphere_area(self.radii[0], d) + _sphere_area(self.radii[1], d)
@@ -224,6 +219,8 @@ class TripleJunction:
     n_regions = 3
 
     def validate(self, eps: float) -> None:
+        if len(self.angles) != 3:
+            raise ScenarioError(f"a triple junction needs 3 ray angles, got {len(self.angles)}")
         a = np.sort(np.mod(np.asarray(self.angles, dtype=float), 360.0))
         widths = np.diff(np.concatenate([a, [a[0] + 360.0]]))
         if np.any(widths <= 0) or np.any(widths >= 180.0):

@@ -261,6 +261,8 @@ class TestBrakkeResidual:
         model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
         with pytest.raises(InputError):
             brakke_residual(states, model.eps, model, bump_field(GridSpec(2, 16)))
+        with pytest.raises(InputError, match="d_t phi"):
+            brakke_residual(states, model.eps, model, bump_field(spec), bump_field(GridSpec(2, 16)))
 
     def test_eps_must_match_the_model(self):
         # mu_of_phi reads eps while the flow runs at model.eps.

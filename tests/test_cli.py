@@ -62,6 +62,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             parse_config(path)
 
+    @pytest.mark.parametrize("geometry", [
+        "FlatStrip(0.2)",
+        "FlatStrip(0.2,0.7,0.9)",
+        "DoubleStrip(0.1,0.3,0.6,0.8,0.95)",
+        "TwoDisks(0.3,0.3,0.15,0.7,0.7,0.15,9)",
+        "TripleJunction(0,90,180,270)",
+    ])
+    def test_wrong_geometry_argument_count_rejected(self, tmp_path, geometry):
+        path = write_config(tmp_path, f"geometry = {geometry}\nn = 64\neps = 0.0625\n")
+        with pytest.raises(ConfigurationError, match="arguments"):
+            parse_config(path)
+
     def test_bad_model_rejected(self, tmp_path):
         path = write_config(tmp_path, "model = Fancy\n")
         with pytest.raises(ConfigurationError):
@@ -83,6 +95,11 @@ class TestSubcommands:
         assert (run_dir / "timeseries.csv").exists()
         snaps = sorted(run_dir.glob("snap_*.mpfc"))
         assert len(snaps) >= 3
+
+    def test_simulate_planar_disks_on_a_3d_grid_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "geometry = TwoDisks\nd = 3\nn = 32\neps = 0.02\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "center dimension" in capsys.readouterr().err
 
     def test_simulate_unknown_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "\nbogus = 2\n")

@@ -43,8 +43,11 @@ class TestGeometryValidation:
 
     def test_double_strip_gaps(self):
         tight = DoubleStrip(bands=((0.1, 0.3), (0.31, 0.5)))
-        with pytest.raises(ScenarioError):
-            build_scenario(scenario_for(tight))
+        for geom in (tight, DoubleStrip(bands=((0.1, 0.5), (0.3, 0.7))),
+                     DoubleStrip(bands=((0.3, 0.5), (0.1, 0.9)))):
+            for kind in (ModelKind.SPHERE_LL, ModelKind.MEAN_SHIFT):
+                with pytest.raises(ScenarioError, match="closer than 6 eps"):
+                    build_scenario(scenario_for(geom, kind=kind))
 
     def test_strip_inside_unit_interval(self):
         with pytest.raises(ScenarioError):
@@ -53,6 +56,8 @@ class TestGeometryValidation:
     def test_wedge_angle_constraints(self):
         with pytest.raises(ScenarioError):
             TripleJunction(angles=(0.0, 10.0, 200.0)).validate(EPS)
+        with pytest.raises(ScenarioError, match="3 ray angles"):
+            TripleJunction(angles=(0.0, 90.0, 180.0, 270.0)).validate(EPS)
 
     def test_phase_count_must_cover_regions(self):
         scn = scenario_for(TripleJunction(), n_phases=2)
