@@ -75,38 +75,31 @@ _SCENARIO_KEYS = {
 _GEOMETRY_RE = re.compile(r"^\s*([A-Za-z]+)\s*(?:\(([^)]*)\))?\s*$")
 
 
-def _parse_geometry(text: str):
+def _parse_geometry(text: str, d: int):
     m = _GEOMETRY_RE.match(text)
     if not m:
         raise ConfigurationError(f"cannot parse geometry {text!r}")
     name, argtext = m.group(1), m.group(2)
-    args = []
+    v = []
     if argtext is not None and argtext.strip():
         try:
-            args = [float(a) for a in argtext.split(",")]
+            v = [float(a) for a in argtext.split(",")]
         except ValueError as exc:
             raise ConfigurationError(f"bad geometry arguments in {text!r}") from exc
-    arity = {"FlatStrip": 2, "DoubleStrip": 4, "TwoDisks": 6, "TripleJunction": 3}.get(name)
-    if args and arity is not None and len(args) != arity:
-        raise ConfigurationError(f"{name} takes {arity} arguments, got {len(args)} in {text!r}")
+    arity = {"Disk": d + 1, "FlatStrip": 2, "DoubleStrip": 4, "TwoDisks": 6, "TripleJunction": 3}
+    if name not in arity:
+        raise ConfigurationError(f"unknown geometry {name!r}")
+    if v and len(v) != arity[name]:
+        raise ConfigurationError(f"{name} takes {arity[name]} arguments, got {len(v)} in {text!r}")
     if name == "Disk":
-        return Disk() if not args else Disk(center=tuple(args[:-1]), radius=args[-1])
+        return Disk(center=tuple(v[:-1]), radius=v[-1]) if v else Disk()
     if name == "FlatStrip":
-        return FlatStrip() if not args else FlatStrip(lo=args[0], hi=args[1])
+        return FlatStrip(*v)
     if name == "DoubleStrip":
-        if not args:
-            return DoubleStrip()
-        return DoubleStrip(bands=((args[0], args[1]), (args[2], args[3])))
+        return DoubleStrip(bands=((v[0], v[1]), (v[2], v[3]))) if v else DoubleStrip()
     if name == "TwoDisks":
-        if not args:
-            return TwoDisks()
-        return TwoDisks(
-            centers=((args[0], args[1]), (args[3], args[4])),
-            radii=(args[2], args[5]),
-        )
-    if name == "TripleJunction":
-        return TripleJunction() if not args else TripleJunction(angles=tuple(args))
-    raise ConfigurationError(f"unknown geometry {name!r}")
+        return TwoDisks(centers=((v[0], v[1]), (v[3], v[4])), radii=(v[2], v[5])) if v else TwoDisks()
+    return TripleJunction(angles=tuple(v)) if v else TripleJunction()
 
 
 def parse_config(path: str | Path) -> Scenario:
@@ -133,7 +126,7 @@ def parse_config(path: str | Path) -> Scenario:
         d = int(raw.get("d", "2"))
         n = int(raw.get("n", "256"))
         grid = GridSpec(d, n)
-        geometry = _parse_geometry(raw.get("geometry", "Disk"))
+        geometry = _parse_geometry(raw.get("geometry", "Disk"), d)
         kind = ModelKind(raw.get("model", "MeanShift"))
         default_phases = 3 if isinstance(geometry, TripleJunction) else 2
         n_phases = int(raw.get("n_phases", str(default_phases)))

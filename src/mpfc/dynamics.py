@@ -463,8 +463,14 @@ def project_constraint(
     """
     _check_state(state, model)
     u = state.values
-    defect = _constraint_defect(u, model, g._scratch(state.spec.shape, "project_defect"))
-    violation = float(max(np.max(defect), -np.min(defect)))
+    buf = g._scratch(state.spec.shape, "project_defect")
+    if model.kind == ModelKind.SPHERE_LL:
+        # sum u^2 once: rounding is monotone, so max(sq - 1) = max(sq) - 1.
+        sq = np.sum(np.multiply(u, u, out=g._scratch(u.shape, "stack_a")), axis=0, out=buf)
+        violation = float(max(np.max(sq) - 1.0, 1.0 - np.min(sq)))
+    else:
+        defect = _constraint_defect(u, model, buf)
+        violation = float(max(np.max(defect), -np.min(defect)))
     # nan fails this test too; past 2**969 a shift could overflow the result.
     if not violation <= min(max_violation * (1.0 + 1e-12), 2.0**969):
         raise ProjectionError(
@@ -472,9 +478,7 @@ def project_constraint(
             f"(limit {max_violation:.3e})"
         )
     if model.kind == ModelKind.SPHERE_LL:
-        # The norm reuses the spent defect buffer.
-        norm = np.sum(np.multiply(u, u, out=g._scratch(u.shape, "stack_a")), axis=0, out=defect)
-        np.sqrt(norm, out=norm)
+        norm = np.sqrt(sq, out=sq)
         if np.any(norm < 1e-150):
             raise ProjectionSingularError("zero phase vector: radial projection undefined")
         new = u / norm[None]

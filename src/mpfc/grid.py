@@ -223,7 +223,8 @@ def grad_dot_raw(
     The forward-difference product p lives on the edge (j, j+1); the backward
     product at node j is p at j-1, so each node averages its two edges.
     ``out``, if given, is a C-contiguous float64 array of ``a``'s shape; it is
-    zeroed and accumulated into, as a fresh result would be.
+    zeroed and accumulated into, as a fresh result would be.  With ``b is a``
+    each difference is formed once and squared in place.
     """
     if out is None:
         out = np.zeros(a.shape)
@@ -235,8 +236,11 @@ def grad_dot_raw(
     q = _scratch(a.shape, "grad_dot_q")
     for ax in range(out.ndim):
         _periodic_pair(np.subtract, a, 1, a, 0, ax, p)
-        _periodic_pair(np.subtract, b, 1, b, 0, ax, q)
-        p *= q
+        if b is a:
+            p *= p
+        else:
+            _periodic_pair(np.subtract, b, 1, b, 0, ax, q)
+            p *= q
         _periodic_pair(np.add, p, 0, p, -1, ax, q)
         out += q
     out *= 0.5 / (h * h)

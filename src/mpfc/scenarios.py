@@ -17,7 +17,8 @@ tails, which relax away within a few steps.  Wedges use exact point-to-
 convex-polygon distances of the sector clipped to the periodic fundamental
 square, minimized over the 3x3 image lattice; the signed distance to region
 i is dist(x, union of other regions) - dist(x, region i), which is immune to
-the fake boundary pieces a region has along the periodic seam.
+the fake boundary pieces a region has along the periodic seam.  The kernel
+takes any number of convex regions.
 
 After profile composition the state is projected exactly onto the model's
 constraint manifold.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -154,6 +156,8 @@ class TwoDisks:
         for r in self.radii:
             if not 3 * eps < r < 0.5 - 3 * eps:
                 raise ScenarioError(f"disk radius {r} outside (3 eps, 0.5 - 3 eps)")
+        if len(self.centers[0]) != len(self.centers[1]):
+            raise ScenarioError("two-disk centers have different dimensions")
         delta = torus_delta(np.asarray(self.centers[0]), np.asarray(self.centers[1]))
         gap = float(np.linalg.norm(delta)) - self.radii[0] - self.radii[1]
         if gap < 6 * eps:
@@ -182,24 +186,49 @@ def _clip_convex(poly: np.ndarray, normal: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def _polygon_distance(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Distance from points (..., 2) to a convex CCW polygon (0 inside)."""
-    p = points.reshape(-1, 2)
-    m = len(poly)
-    inside = np.ones(len(p), dtype=bool)
-    best = np.full(len(p), np.inf)
-    for i in range(m):
-        a = poly[i]
-        b = poly[(i + 1) % m]
-        e = b - a
-        rel = p - a
-        cross = e[0] * rel[:, 1] - e[1] * rel[:, 0]
-        inside &= cross >= 0
-        t = np.clip((rel @ e) / (e @ e), 0.0, 1.0)
-        diff = rel - t[:, None] * e
-        best = np.minimum(best, np.sqrt(np.sum(diff * diff, axis=1)))
-    dist = np.where(inside, 0.0, best)
-    return dist.reshape(points.shape[:-1])
+def _signed_region_distances(qx, qy, polys) -> np.ndarray:
+    """Signed torus distance to each convex CCW polygon region, positive inside.
+
+    ``qx`` (n, 1) and ``qy`` (1, n) are the grid's minimum-image offsets from
+    the reference point, an open mesh: edge offsets are n-vectors and only
+    their products fill the grid.  A region's squared distance is the running
+    minimum over the 3x3 image lattice and the polygon's edges, 0 where every
+    edge's cross product is >= 0.  One sqrt per region is then bitwise the
+    minimum of the roots (sqrt is correctly rounded and monotone).
+    dist(others) is each cell's smallest or second smallest region distance,
+    so N regions cost O(N).
+    """
+    dist = np.full((len(polys), qx.shape[0], qy.shape[1]), np.inf)
+    cross_min, d2_min, t, w = (np.empty(dist.shape[1:]) for _ in range(4))
+    for kx, ky, (poly, best) in product((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), zip(polys, dist)):
+        cross_min.fill(np.inf)
+        d2_min.fill(np.inf)
+        for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+            e = b - a
+            relx, rely = qx - kx - a[0], qy - ky - a[1]
+            np.subtract(e[0] * rely, e[1] * relx, out=w)
+            np.minimum(cross_min, w, out=cross_min)
+            np.add(relx * e[0], rely * e[1], out=t)  # t = clip(rel . e / e . e, 0, 1)
+            t /= e @ e
+            np.clip(t, 0.0, 1.0, out=t)
+            np.subtract(relx, np.multiply(t, e[0], out=w), out=w)
+            w *= w
+            np.subtract(rely, np.multiply(t, e[1], out=t), out=t)
+            t *= t
+            w += t
+            np.minimum(d2_min, w, out=d2_min)
+        d2_min *= cross_min < 0.0  # 0 inside
+        np.minimum(best, d2_min, out=best)
+    np.sqrt(dist, out=dist)
+    lo, lo2 = cross_min, d2_min
+    lo.fill(np.inf)
+    lo2.fill(np.inf)
+    for d in dist:
+        np.minimum(lo2, np.maximum(lo, d, out=t), out=lo2)
+        np.minimum(lo, d, out=lo)
+    for d in dist:
+        np.subtract(np.where(d == lo, lo2, lo), d, out=d)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -247,26 +276,9 @@ class TripleJunction:
         """Signed torus distance to each wedge region, positive inside."""
         if spec.d != 2:
             raise ScenarioError("triple junction geometry requires d = 2")
-        axes = spec.meshgrid()
-        p = np.stack(
-            [torus_delta(axes[0], self.center[0]), torus_delta(axes[1], self.center[1])],
-            axis=-1,
-        )
-        polys = self._polygons()
-        dist = np.empty((3,) + spec.shape)
-        offsets = [
-            np.array([i, j], dtype=float) for i in (-1, 0, 1) for j in (-1, 0, 1)
-        ]
-        for i, poly in enumerate(polys):
-            d = np.full(spec.shape, np.inf)
-            for k in offsets:
-                d = np.minimum(d, _polygon_distance(p - k, poly))
-            dist[i] = d
-        signed = np.empty_like(dist)
-        for i in range(3):
-            other = np.min(np.delete(dist, i, axis=0), axis=0)
-            signed[i] = other - dist[i]
-        return signed
+        ax = np.arange(spec.n) * spec.h  # the axis of spec.meshgrid()
+        qx, qy = torus_delta(ax, self.center[0]), torus_delta(ax, self.center[1])
+        return _signed_region_distances(qx[:, None], qy[None, :], self._polygons())
 
     def profiles(self, spec: GridSpec, eps: float) -> np.ndarray:
         return optimal_profile(self.region_distances(spec), eps)

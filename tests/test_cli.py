@@ -63,6 +63,8 @@ class TestConfigParsing:
             parse_config(path)
 
     @pytest.mark.parametrize("geometry", [
+        "Disk(0.3)",
+        "Disk(0.5,0.5,0.5,0.3)",
         "FlatStrip(0.2)",
         "FlatStrip(0.2,0.7,0.9)",
         "DoubleStrip(0.1,0.3,0.6,0.8,0.95)",
@@ -72,6 +74,13 @@ class TestConfigParsing:
     def test_wrong_geometry_argument_count_rejected(self, tmp_path, geometry):
         path = write_config(tmp_path, f"geometry = {geometry}\nn = 64\neps = 0.0625\n")
         with pytest.raises(ConfigurationError, match="arguments"):
+            parse_config(path)
+
+    def test_disk_takes_one_centre_coordinate_per_axis(self, tmp_path):
+        path = write_config(tmp_path, "geometry = Disk(0.5,0.5,0.5,0.25)\nd = 3\nn = 32\n")
+        assert parse_config(path).geometry == Disk(center=(0.5, 0.5, 0.5), radius=0.25)
+        path = write_config(tmp_path, "geometry = Disk(0.5,0.5,0.25)\nd = 3\nn = 32\n")
+        with pytest.raises(ConfigurationError, match="Disk takes 4 arguments"):
             parse_config(path)
 
     def test_bad_model_rejected(self, tmp_path):
@@ -100,6 +109,11 @@ class TestSubcommands:
         cfg = write_config(tmp_path, "geometry = TwoDisks\nd = 3\nn = 32\neps = 0.02\n")
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "center dimension" in capsys.readouterr().err
+
+    def test_simulate_disk_without_centre_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "geometry = Disk(0.3)\nn = 32\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "Disk takes 3 arguments" in capsys.readouterr().err
 
     def test_simulate_unknown_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "\nbogus = 2\n")

@@ -258,6 +258,18 @@ class TestProjection:
         out = project_constraint(state, model, max_violation=np.inf)
         assert np.max(np.abs(out.values[2] - 1.0)) < 1e-15
 
+    def test_sphere_projection_reads_one_sum_of_squares(self, spec64):
+        # The violation comes from the extremes of sum u^2 and the norm from
+        # its root; the result is bitwise u / |u| in whole-array form.
+        model = ModelSpec(ModelKind.SPHERE_LL, 0.05, 3)
+        state = random_smooth_state(spec64, 3, seed=16, amplitude=0.6)
+        u = state.values
+        violation = constraint_violation(state, model)
+        out = project_constraint(state, model, max_violation=violation)
+        assert np.array_equal(out.values, u / np.sqrt(np.sum(u * u, axis=0)))
+        with pytest.raises(ProjectionError, match=f"{violation:.3e} from"):
+            project_constraint(state, model, max_violation=0.999 * violation)
+
     def test_mean_shift_exact_values(self, spec64):
         model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
         state = wells_state(spec64, (0.5, 0.6))

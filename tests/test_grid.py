@@ -276,6 +276,7 @@ class TestSliceKernelsMatchRoll:
             assert np.array_equal(got, want)
         assert np.array_equal(grad_dot_raw(a, b, h), roll_grad_dot(a, b, h))
         assert np.array_equal(grad_dot_raw(a, a, h), roll_grad_dot(a, a, h))
+        assert np.array_equal(grad_dot_raw(a, a, h), grad_dot_raw(a, a.copy(), h))
         out = np.full_like(a, np.nan)  # whatever out holds is overwritten
         assert grad_dot_raw(a, b, h, out=out) is out
         assert np.array_equal(out, roll_grad_dot(a, b, h))

@@ -1,12 +1,14 @@
 """Initial data: geometry validation, profiles, energy counts, projection."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mpfc.dynamics import ModelKind, ModelSpec, constraint_violation, max_neighbor_jump
 from mpfc.diagnostics import energy_measure
 from mpfc.errors import ScenarioError
-from mpfc.grid import GridSpec
+from mpfc.grid import GridSpec, torus_delta
 from mpfc.scenarios import (
     Disk,
     DoubleStrip,
@@ -48,6 +50,11 @@ class TestGeometryValidation:
             for kind in (ModelKind.SPHERE_LL, ModelKind.MEAN_SHIFT):
                 with pytest.raises(ScenarioError, match="closer than 6 eps"):
                     build_scenario(scenario_for(geom, kind=kind))
+
+    def test_two_disks_centres_of_different_dimensions(self):
+        geom = TwoDisks(centers=((0.3, 0.3), (0.7, 0.7, 0.5)))
+        with pytest.raises(ScenarioError, match="different dimensions"):
+            geom.validate(EPS)
 
     def test_strip_inside_unit_interval(self):
         with pytest.raises(ScenarioError):
@@ -165,6 +172,107 @@ class TestWedgeDistances:
         assert left != right
         d_expected = 3.0 / 256.0
         assert abs(dist[right, i, j_up] - d_expected) < 2.0 / 256.0
+
+
+# The whole-array wedge distances the grid-shaped kernel replaced: one
+# (n^2, 2) point stack per image and region, a matmul for rel . e, one sqrt
+# per edge, and N np.delete copies for the signed distances.
+
+
+def reference_polygon_distance(points, poly):
+    p = points.reshape(-1, 2)
+    m = len(poly)
+    inside = np.ones(len(p), dtype=bool)
+    best = np.full(len(p), np.inf)
+    for i in range(m):
+        a = poly[i]
+        b = poly[(i + 1) % m]
+        e = b - a
+        rel = p - a
+        cross = e[0] * rel[:, 1] - e[1] * rel[:, 0]
+        inside &= cross >= 0
+        t = np.clip((rel @ e) / (e @ e), 0.0, 1.0)
+        diff = rel - t[:, None] * e
+        best = np.minimum(best, np.sqrt(np.sum(diff * diff, axis=1)))
+    dist = np.where(inside, 0.0, best)
+    return dist.reshape(points.shape[:-1])
+
+
+def reference_region_distances(junction, spec):
+    axes = spec.meshgrid()
+    p = np.stack(
+        [torus_delta(axes[0], junction.center[0]), torus_delta(axes[1], junction.center[1])],
+        axis=-1,
+    )
+    polys = junction._polygons()
+    dist = np.empty((3,) + spec.shape)
+    offsets = [np.array([i, j], dtype=float) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    for i, poly in enumerate(polys):
+        d = np.full(spec.shape, np.inf)
+        for k in offsets:
+            d = np.minimum(d, reference_polygon_distance(p - k, poly))
+        dist[i] = d
+    signed = np.empty_like(dist)
+    for i in range(3):
+        other = np.min(np.delete(dist, i, axis=0), axis=0)
+        signed[i] = other - dist[i]
+    return signed
+
+
+def scalar_polygon_distance(x, y, poly):
+    """Plain-Python distance from (x, y) to a convex CCW polygon, 0 inside."""
+    inside, best = True, math.inf
+    for i in range(len(poly)):
+        ax, ay = poly[i]
+        ex, ey = poly[(i + 1) % len(poly)][0] - ax, poly[(i + 1) % len(poly)][1] - ay
+        rx, ry = x - ax, y - ay
+        inside = inside and ex * ry - ey * rx >= 0.0
+        t = min(max((rx * ex + ry * ey) / (ex * ex + ey * ey), 0.0), 1.0)
+        best = min(best, math.hypot(rx - t * ex, ry - t * ey))
+    return 0.0 if inside else best
+
+
+class TestWedgeKernel:
+    OFF_NODE = (0.4123, 0.5771)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("center", [(0.5, 0.5), OFF_NODE])
+    def test_default_angles_match_the_whole_array_form_bitwise(self, n, center):
+        junction = TripleJunction(center=center)
+        spec = GridSpec(2, n)
+        assert np.array_equal(
+            junction.region_distances(spec), reference_region_distances(junction, spec)
+        )
+
+    @pytest.mark.parametrize("angles", [(10.0, 100.0, 250.0), (0.0, 120.0, 240.0)])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_other_angles_within_an_ulp_of_the_whole_array_form(self, angles, n):
+        # The reference forms rel . e by a matmul; the kernel forms the two
+        # products and adds them, which can differ in the last bit.
+        junction = TripleJunction(angles=angles, center=self.OFF_NODE)
+        spec = GridSpec(2, n)
+        diff = junction.region_distances(spec) - reference_region_distances(junction, spec)
+        assert np.max(np.abs(diff)) <= 2e-16
+
+    @pytest.mark.parametrize("angles", [(90.0, 210.0, 330.0), (10.0, 100.0, 250.0)])
+    def test_scalar_oracle_at_random_nodes(self, angles):
+        rng = np.random.default_rng(16)
+        center = tuple(rng.uniform(0.0, 1.0, size=2))
+        junction = TripleJunction(angles=angles, center=center)
+        spec = GridSpec(2, 128)
+        dist = junction.region_distances(spec)
+        polys = junction._polygons()
+        for i, j in rng.integers(0, spec.n, size=(200, 2)):
+            x = float(torus_delta(i * spec.h, center[0]))
+            y = float(torus_delta(j * spec.h, center[1]))
+            region = [
+                min(scalar_polygon_distance(x - kx, y - ky, poly)
+                    for kx in (-1, 0, 1) for ky in (-1, 0, 1))
+                for poly in polys
+            ]
+            for r in range(3):
+                other = min(region[:r] + region[r + 1:])
+                assert abs(dist[r, i, j] - (other - region[r])) <= 1e-15
 
 
 class TestScenarioValidation:
