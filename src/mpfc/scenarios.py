@@ -183,7 +183,8 @@ def _clip_convex(poly: np.ndarray, normal: np.ndarray) -> np.ndarray:
         if (vi >= 0) != (vj >= 0):
             t = vi / (vi - vj)
             out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.asarray(out)
+    # A cut through a vertex can repeat it; a zero-length edge has no direction.
+    return np.asarray([p for k, p in enumerate(out) if not np.array_equal(p, out[k - 1])])
 
 
 def _signed_region_distances(qx, qy, polys) -> np.ndarray:

@@ -254,7 +254,9 @@ class TestWedgeKernel:
         diff = junction.region_distances(spec) - reference_region_distances(junction, spec)
         assert np.max(np.abs(diff)) <= 2e-16
 
-    @pytest.mark.parametrize("angles", [(90.0, 210.0, 330.0), (10.0, 100.0, 250.0)])
+    # A ray at 45 degrees cuts the fundamental square through a corner.
+    @pytest.mark.parametrize("angles", [(90.0, 210.0, 330.0), (10.0, 100.0, 250.0),
+                                        (45.0, 165.0, 285.0)])
     def test_scalar_oracle_at_random_nodes(self, angles):
         rng = np.random.default_rng(16)
         center = tuple(rng.uniform(0.0, 1.0, size=2))
@@ -273,6 +275,14 @@ class TestWedgeKernel:
             for r in range(3):
                 other = min(region[:r] + region[r + 1:])
                 assert abs(dist[r, i, j] - (other - region[r])) <= 1e-15
+
+    def test_ray_through_a_corner_builds(self):
+        # Clipping through a corner used to repeat the vertex, and its
+        # zero-length edge made every distance nan.
+        junction = TripleJunction(angles=(45.0, 135.0, 270.0))
+        assert all(len(np.unique(p, axis=0)) == len(p) for p in junction._polygons())
+        state = build_scenario(scenario_for(junction, n_phases=3, spec=GridSpec(2, 64), eps=0.0625))
+        assert np.all(np.isfinite(state.values))
 
 
 class TestScenarioValidation:
