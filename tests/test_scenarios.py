@@ -223,8 +223,8 @@ def scalar_polygon_distance(x, y, poly):
     """Plain-Python distance from (x, y) to a convex CCW polygon, 0 inside."""
     inside, best = True, math.inf
     for i in range(len(poly)):
-        ax, ay = poly[i]
-        ex, ey = poly[(i + 1) % len(poly)][0] - ax, poly[(i + 1) % len(poly)][1] - ay
+        (ax, ay), (bx, by) = poly[i], poly[(i + 1) % len(poly)]
+        ex, ey = bx - ax, by - ay
         rx, ry = x - ax, y - ay
         inside = inside and ex * ry - ey * rx >= 0.0
         t = min(max((rx * ex + ry * ey) / (ex * ex + ey * ey), 0.0), 1.0)
