@@ -31,7 +31,6 @@ from .dynamics import (
 from .errors import (
     BlowUpError,
     ConfigurationError,
-    DegenerateDenominatorError,
     InputError,
     MpfcError,
     ProjectionError,

@@ -14,7 +14,7 @@ comment.  Keys match the scenario fields:
     geometry   Disk(cx, cy, r) | FlatStrip[(lo, hi)] | DoubleStrip[(l1,h1,l2,h2)]
                | TwoDisks[(x1,y1,r1,x2,y2,r2)] | TripleJunction[(a1,a2,a3)]
     model      SphereLL | WeightedSum | MeanShift | WeightedSquare
-    eps, n_phases, denom_floor, d, n, dt, t_end, snapshot_every,
+    eps, n_phases, d, n, dt, t_end, snapshot_every,
     projection (off | every_step), scheme (a name in ``dynamics.SCHEMES``)
 
 Unknown keys are errors.  Unset keys take the documented baseline defaults
@@ -62,7 +62,6 @@ _SCENARIO_KEYS = {
     "model",
     "eps",
     "n_phases",
-    "denom_floor",
     "d",
     "n",
     "dt",
@@ -128,11 +127,9 @@ def parse_config(path: str | Path) -> Scenario:
         grid = GridSpec(d, n)
         geometry = _parse_geometry(raw.get("geometry", "Disk"), d)
         kind = ModelKind(raw.get("model", "MeanShift"))
-        default_phases = 3 if isinstance(geometry, TripleJunction) else 2
-        n_phases = int(raw.get("n_phases", str(default_phases)))
+        n_phases = int(raw.get("n_phases", str(geometry.n_regions)))
         eps = float(raw.get("eps", str(8.0 / n)))
-        denom_floor = float(raw.get("denom_floor", "1e-10"))
-        model = ModelSpec(kind, eps, n_phases, denom_floor)
+        model = ModelSpec(kind, eps, n_phases)
         h2 = grid.h * grid.h
         scenario = Scenario(
             geometry=geometry,

@@ -24,7 +24,7 @@ Landau-Lifshitz flow of a unit vector field written in multiplier form; for
 other N the same equations are integrated but the sphere reading is formal.
 
 Quotient multipliers degenerate where every phase sits in a well.  Cells whose
-denominator falls below ``denom_floor`` get multiplier zero; this is
+denominator falls below ``_DENOM_FLOOR`` get multiplier zero; this is
 consistent with the formal limit because the coupling carries another factor
 of g that vanishes at the same order.  The floored cell fraction is reported
 so runs can detect over-flooring.
@@ -54,7 +54,6 @@ from . import grid as g
 from .errors import (
     BlowUpError,
     ConfigurationError,
-    DegenerateDenominatorError,
     ProjectionError,
     ProjectionSingularError,
 )
@@ -89,6 +88,8 @@ _SHIFT_TOL = 1e-12
 # Its root search reaches shifts up to this size; a root further out is a
 # bracket failure.
 _SHIFT_CAP = 1024.0
+# Quotient multipliers are zero where their denominator is below this.
+_DENOM_FLOOR = 1e-10
 
 # The step's temporaries live in per-thread scratch (``grid._scratch``).  The
 # float "stack_a/b/c" and bool "stack_mask" slots have the state's shape and
@@ -107,20 +108,17 @@ class ModelKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which system to integrate, with interface width and multiplier policy."""
+    """Which system to integrate, with interface width and phase count."""
 
     kind: ModelKind
     eps: float
     n_phases: int
-    denom_floor: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if self.n_phases < 2:
             raise ValueError(f"n_phases must be >= 2, got {self.n_phases}")
-        if self.denom_floor < 0:
-            raise ValueError("denom_floor must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -255,13 +253,7 @@ def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
                 np.sum(np.multiply(weight, mu, out=stack_b), axis=0, out=num)
                 np.sum(np.multiply(weight, weight, out=stack_b), axis=0, out=den)
 
-            floored = np.less(den, model.denom_floor,
-                              out=g._scratch(grid_shape, "flow_floored", bool))
-            if model.denom_floor == 0.0 and np.any(den == 0.0):
-                cell = tuple(int(i) for i in np.argwhere(den == 0.0)[0])
-                raise DegenerateDenominatorError(
-                    f"zero multiplier denominator at cell {cell} with denom_floor=0", cell
-                )
+            floored = np.less(den, _DENOM_FLOOR, out=g._scratch(grid_shape, "flow_floored", bool))
             np.copyto(den, 1.0, where=floored)
             lam = np.divide(num, den)
             np.copyto(lam, 0.0, where=floored)

@@ -6,7 +6,6 @@ __all__ = [
     "MpfcError",
     "ConfigurationError",
     "SolverFailureError",
-    "DegenerateDenominatorError",
     "BlowUpError",
     "ProjectionError",
     "ProjectionSingularError",
@@ -26,14 +25,6 @@ class ConfigurationError(MpfcError):
 
 class SolverFailureError(MpfcError):
     """A linear solve did not meet its residual contract."""
-
-
-class DegenerateDenominatorError(MpfcError):
-    """A quotient multiplier hit a zero denominator with regularization disabled."""
-
-    def __init__(self, message: str, cell_index: tuple[int, ...]):
-        super().__init__(message)
-        self.cell_index = cell_index
 
 
 class BlowUpError(MpfcError):

@@ -13,7 +13,9 @@ accumulation for arbitrary nonnegative test functions.  The built-in series
 ``"one"`` goes through the same accumulator with integrand -rate and
 int phi dmu = the sampled total energy, and D(t) is minus its cumulative, so
 the phi == 1 balance residual equals the energy balance residual by
-construction.
+construction.  Each step forms one row of integrands, ``"one"`` first, and
+each sample keeps one row of int phi dmu and one of cumulative integrals;
+the series are the columns of those rows.
 
 Everything recorded is a deterministic function of the scenario: fixed
 reduction orders, no threading dependence, no wall-clock input.
@@ -115,11 +117,10 @@ def run_simulation(
         if dphi_dt is not None:
             raise ValueError(f"Brakke series {name!r}: phi is static, so d_t phi must be None")
         _check_test_function(phi, scenario.grid)
-    phi_vals = {name: phi.values for name, (phi, _) in phis.items()}
-    names = ["one", *phi_vals]
+    phi_vals = [phi.values for phi, _ in phis.values()]
 
     model = scenario.model
-    state = build_scenario(scenario)
+    state = first = last = build_scenario(scenario)
     check_scheme(scenario.grid, model, scenario.dt, scenario.scheme)
     jump = max_neighbor_jump(state)
     if jump > 0.5:
@@ -130,29 +131,19 @@ def run_simulation(
 
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
-    sample_steps = sorted(set(range(0, n_steps + 1, scenario.snapshot_every)) | {n_steps})
-    sample_set = set(sample_steps)
+    sample_set = set(range(0, n_steps + 1, scenario.snapshot_every)) | {n_steps}
     project = scenario.projection == "every_step"
-
-    samples: list[MeasureSample] = []
-    rates: list[float] = []
-    states: list[PhaseField] = [] if keep_states else None
-    snapshot_paths: list[tuple[float, Path]] = []
-    mu_phi_at_sample: dict[str, list[float]] = {name: [] for name in names}
-    rhs_cum_at_sample: dict[str, list[float]] = {name: [] for name in names}
-
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    rhs_cum = {name: 0.0 for name in names}
-    prev_integrand: dict[str, float] | None = None
-    last_snapshot: PhaseField = state
-
-    # L1 drift bookkeeping for the Hoelder-continuity report.
-    initial_state = state
-    prev_sample_state = state
-    holder_pairs: list[tuple[float, float]] = []
+    samples: list[MeasureSample] = []
+    states: list[PhaseField] | None = [] if keep_states else None
+    snapshot_paths: list[tuple[float, Path]] = []
+    # Series columns: "one" (integrand -rate, int phi dmu = the total energy),
+    # then one per test function.  ``cum`` is the running trapezoid.
+    rates, mu_rows, cum_rows, holder_ratios = [], [], [], []
+    cum, prev = [0.0] * (1 + len(phi_vals)), None
 
     def l1_distance(a: PhaseField, b: PhaseField) -> float:
         return max(
@@ -165,13 +156,10 @@ def run_simulation(
     try:
         for step_index in range(n_steps + 1):
             fe = flow(state, model)
-            integrand = {"one": -fe.rate}
-            for name, pv in phi_vals.items():
-                integrand[name] = brakke_rhs_integrand(state, model, fe, pv)
-            if prev_integrand is not None:
-                for name in names:
-                    rhs_cum[name] += dt * 0.5 * (prev_integrand[name] + integrand[name])
-            prev_integrand = integrand
+            row = [-fe.rate] + [brakke_rhs_integrand(state, model, fe, pv) for pv in phi_vals]
+            if prev is not None:
+                cum = [c + dt * 0.5 * (p + i) for c, p, i in zip(cum, prev, row)]
+            prev = row
 
             if step_index in sample_set:
                 # One pass of the energy densities serves the sample and every series.
@@ -179,27 +167,22 @@ def run_simulation(
                 sample = _measure_sample(state, model, densities)
                 samples.append(sample)
                 rates.append(fe.rate)
-                mu_phi_at_sample["one"].append(sample.energy_total)
-                for name, pv in phi_vals.items():
-                    mu_phi_at_sample[name].append(_mu_of_phi(state, densities[1], pv))
+                mu_rows.append([sample.energy_total]
+                               + [_mu_of_phi(state, densities[1], pv) for pv in phi_vals])
+                cum_rows.append(cum)
                 del densities
-                for name in names:
-                    rhs_cum_at_sample[name].append(rhs_cum[name])
                 if states is not None:
                     states.append(state)
                 if out_path is not None:
                     p = out_path / f"snap_{step_index:08d}.mpfc"
                     write_snapshot(state, model, p)
                     snapshot_paths.append((state.time, p))
-                if state is not prev_sample_state:
-                    dt_pair = state.time - prev_sample_state.time
-                    holder_pairs.append((dt_pair, l1_distance(state, prev_sample_state)))
-                    if prev_sample_state is not initial_state:
-                        holder_pairs.append(
-                            (state.time, l1_distance(state, initial_state))
-                        )
-                    prev_sample_state = state
-                last_snapshot = state
+                # Hoelder report: L1 drift from the previous sample and from the start.
+                if state is not last:
+                    holder_ratios.append(l1_distance(state, last) / np.sqrt(state.time - last.time))
+                    if last is not first:
+                        holder_ratios.append(l1_distance(state, first) / np.sqrt(state.time))
+                last = state
 
             if step_index == n_steps:
                 break
@@ -208,36 +191,29 @@ def run_simulation(
     except (BlowUpError, ProjectionError) as exc:
         failure = exc
 
-    brakke = {
-        name: BrakkeSeries(
-            name,
-            mu_phi=np.asarray(mu_phi_at_sample[name]),
-            rhs_cumulative=np.asarray(rhs_cum_at_sample[name]),
-        )
-        for name in names
-    }
+    mu_phi, rhs_cum = np.array(mu_rows), np.array(cum_rows)
     record = RunRecord(
         scenario=scenario,
         samples=samples,
-        sample_steps=np.asarray(sample_steps),
-        dissipated=-brakke["one"].rhs_cumulative,
+        sample_steps=np.asarray(sorted(sample_set)),
+        dissipated=-rhs_cum[:, 0],
         dissipation_rates=np.asarray(rates),
-        brakke=brakke,
+        brakke={name: BrakkeSeries(name, mu_phi[:, k], rhs_cum[:, k])
+                for k, name in enumerate(["one", *phis])},
         states=states,
         snapshot_paths=snapshot_paths,
+        holder={"holder_constant": float(np.max(holder_ratios)), "n_pairs": len(holder_ratios)}
+        if holder_ratios else None,
     )
-    if holder_pairs:
-        ratios = [dist / np.sqrt(dtp) for dtp, dist in holder_pairs if dtp > 0]
-        record.holder = {"holder_constant": float(np.max(ratios)), "n_pairs": len(ratios)}
     if out_path is not None:
         emit_timeseries(record, out_path / "timeseries.csv")
     if failure is not None:
         if out_path is not None:
-            write_snapshot(last_snapshot, model, out_path / "last_good.mpfc")
+            write_snapshot(last, model, out_path / "last_good.mpfc")
         time = state.time + dt  # the failing step is the advance from ``state``
         raise type(failure)(
             f"step {step_index + 1} (t={time:.6g}): {failure}; "
-            f"last good snapshot at t={last_snapshot.time:.6g}",
+            f"last good snapshot at t={last.time:.6g}",
             step_index=step_index + 1,
             time=time,
         ) from failure

@@ -305,10 +305,10 @@ class Scenario:
     scheme: str = "IMEX"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ScenarioError("dt must be positive")
-        if self.t_end < 0:
-            raise ScenarioError("t_end must be nonnegative")
+        if not 0 < self.dt < np.inf:
+            raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_end < np.inf:
+            raise ScenarioError(f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.snapshot_every < 1:
             raise ScenarioError("snapshot_every must be >= 1")
         if self.projection not in ("off", "every_step"):

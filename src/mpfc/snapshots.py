@@ -54,11 +54,7 @@ def write_snapshot(state: PhaseField, model: ModelSpec, path: str | os.PathLike)
 
 
 def read_snapshot(path: str | os.PathLike) -> tuple[PhaseField, ModelSpec]:
-    """Read a snapshot, returning the state and its model spec.
-
-    The model's ``denom_floor`` is not stored in the file and comes back at
-    its default.
-    """
+    """Read a snapshot, returning the state and its model spec."""
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 1 or data[: len(MAGIC)] != MAGIC:
         raise SnapshotFormatError(f"{path}: bad magic bytes (not an MPFC0001 snapshot)")

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import ModelSpec
 from .errors import ConfigurationError, InputError
 from .grid import GridSpec, laplacian_raw
 from .run import run_simulation
@@ -74,7 +73,7 @@ def _volume_rate_error(record) -> float:
     t = times[window]
     v = record.phase_volume(0)[window]
     slope = np.polyfit(t, v, 1)[0]
-    return abs(slope + 2.0 * np.pi) / (2.0 * np.pi)
+    return float(abs(slope + 2.0 * np.pi) / (2.0 * np.pi))
 
 
 def _level_scenario(base: Scenario, axis: str, level: int) -> Scenario:
@@ -85,16 +84,10 @@ def _level_scenario(base: Scenario, axis: str, level: int) -> Scenario:
         return replace(base, grid=grid, dt=base.dt / 4**level)
     if axis == "eps":
         grid = GridSpec(base.grid.d, base.grid.n * 2**level)
-        model = ModelSpec(
-            base.model.kind,
-            base.model.eps / 2**level,
-            base.model.n_phases,
-            base.model.denom_floor,
-        )
         return replace(
             base,
             grid=grid,
-            model=model,
+            model=replace(base.model, eps=base.model.eps / 2**level),
             dt=base.dt / 4**level,
             t_end=base.t_end / 4**level,
         )

@@ -87,6 +87,15 @@ class TestBackwardHeatKernel:
             b *= np.sum(np.exp(-z * z / (4 * tau)))
         assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
 
+    @pytest.mark.parametrize("center", [(0.5,), (0.5, 0.5, 0.9)])
+    def test_centre_of_wrong_dimension_rejected(self, center):
+        # A 2D point or grid takes a centre of two coordinates, no more, no fewer.
+        spec = KernelSpec(center_y=center, terminal_s=1.0)
+        with pytest.raises(InputError, match="coordinates"):
+            backward_heat_kernel((0.5, 0.5), 0.5, spec)
+        with pytest.raises(InputError, match="coordinates"):
+            kernel_field(GridSpec(2, 16), 0.5, spec)
+
     def test_domain_error_at_terminal_time(self):
         spec = KernelSpec(center_y=(0.5, 0.5), terminal_s=0.5)
         with pytest.raises(InputError):

@@ -115,6 +115,14 @@ class TestSubcommands:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "Disk takes 3 arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["t_end", "dt"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_simulate_non_finite_schedule_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, f"n = 32\n{key} = {value}\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_simulate_unknown_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "\nbogus = 2\n")
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -11,6 +11,7 @@ from mpfc.errors import (
     ProjectionError,
     ScenarioError,
 )
+from mpfc.cli import _RATIO_WINDOWS
 from mpfc.grid import GridSpec, ScalarField
 from mpfc.run import load_run_states, run_simulation
 from mpfc.scenarios import Disk, Scenario
@@ -76,8 +77,21 @@ class TestRunSimulation:
             run_simulation(scn)
 
     def test_holder_report_present(self):
-        rec = run_simulation(disk_scenario(t_end=0.004))
-        assert rec.holder is not None and rec.holder["holder_constant"] > 0
+        # max L1 / sqrt(time apart) over consecutive samples and over each
+        # later sample against the initial state, from the kept states.
+        rec = run_simulation(disk_scenario(t_end=0.004), keep_states=True)
+        states = rec.states
+        h2 = states[0].spec.h ** 2
+
+        def ratio(a, b):
+            l1 = max(np.sum(np.abs(a.values[i] - b.values[i])) * h2 for i in range(a.n_phases))
+            return l1 / np.sqrt(b.time - a.time)
+
+        ratios = [ratio(a, b) for a, b in zip(states, states[1:])]
+        ratios += [ratio(states[0], b) for b in states[2:]]
+        assert len(states) >= 3
+        assert rec.holder["n_pairs"] == len(ratios) == 2 * len(states) - 3
+        assert rec.holder["holder_constant"] == pytest.approx(max(ratios), rel=1e-12)
 
     def test_determinism_bitwise(self):
         a = run_simulation(disk_scenario(t_end=0.002))
@@ -169,6 +183,27 @@ class TestConvergenceStudy:
         result = convergence_study(base, "dt", 3, residual="dissipation")
         # first-order behaviour; a generous window at this small size
         assert all(1.4 <= r <= 2.8 for r in result.ratios)
+
+    @staticmethod
+    def small_disk():
+        # eps = 4h and t_end = 32 h^2: three dt levels take well under a second.
+        spec = GridSpec(2, 64)
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 4 * spec.h, 2)
+        return Scenario(geometry=Disk(radius=0.25), model=model, grid=spec, dt=spec.h**2,
+                        t_end=32 * spec.h**2, snapshot_every=8)
+
+    def test_dt_axis_brakke_ratios_in_the_cli_window(self):
+        result = convergence_study(self.small_disk(), "dt", 3, residual="brakke")
+        lo, hi = _RATIO_WINDOWS[("dt", "brakke")]
+        assert all(lo <= r <= hi for r in result.ratios)
+        assert all(type(lv.residual) is float for lv in result.levels)
+
+    def test_dt_axis_volume_rate_decreases(self):
+        # The residual also holds a dt-independent spatial error, so it is
+        # only checked to decrease, not for a first-order ratio.
+        result = convergence_study(self.small_disk(), "dt", 3, residual="volume_rate")
+        assert result.monotone_decreasing()
+        assert all(type(lv.residual) is float for lv in result.levels)
 
     def test_levels_validation(self):
         base = disk_scenario(n=64, t_end=0.0)

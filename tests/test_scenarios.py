@@ -296,3 +296,9 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             Scenario(geometry=Disk(), model=model, grid=SPEC, dt=1e-5, t_end=0.1,
                      scheme="leapfrog")
+        # A nan dt or t_end passes a sign test, and an infinite dt runs zero steps.
+        for key, value in [("dt", math.nan), ("dt", math.inf), ("t_end", math.nan),
+                           ("t_end", math.inf)]:
+            schedule = {"dt": 1e-5, "t_end": 0.1, key: value}
+            with pytest.raises(ScenarioError, match=f"{key} must be"):
+                Scenario(geometry=Disk(), model=model, grid=SPEC, **schedule)
