@@ -306,6 +306,13 @@ def brakke_rhs_integrand(
     X_i = ``grid.grad_dot_raw(phi, u_i)``, which makes this the exact time
     derivative of ``mu_of_phi`` along the semi-discrete flow.
     """
+    return _brakke_integrand(state, model, fe, phi_values, g._forward_differences(phi_values),
+                             dphi_dt_values)
+
+
+def _brakke_integrand(state, model, fe, phi_values, phi_diffs, dphi_dt_values=0.0) -> float:
+    """``brakke_rhs_integrand`` given ``phi_diffs = grid._forward_differences(phi_values)``,
+    which a static phi forms once for a whole run."""
     h, d = state.spec.h, state.spec.d
     eps = model.eps
     du = fe.rhs
@@ -315,8 +322,8 @@ def brakke_rhs_integrand(
         value += mu_of_phi(state, eps, dphi)
     # Per-phase terms accumulate from zero in phase order, which is how
     # np.sum(., axis=0) adds a stack, so both sums are bitwise those.
-    total = g._scratch(state.spec.shape, "brakke_total")
-    term = g._scratch(state.spec.shape, "brakke_term")
+    total = g._scratch(state.spec.shape, "plane_a")
+    term = g._scratch(state.spec.shape, "plane_b")
     total.fill(0.0)
     for i in range(state.n_phases):
         total += np.multiply(du[i], du[i], out=term)
@@ -324,8 +331,8 @@ def brakke_rhs_integrand(
     value -= SIGMA_INV * eps * g.integrate_raw(total, h, d)
     total.fill(0.0)
     for i in range(state.n_phases):
-        total += np.multiply(g.grad_dot_raw(phi_values, state.values[i], h, out=term), du[i],
-                             out=term)
+        g._grad_dot_into(phi_values, phi_diffs, state.values[i], h, term)
+        total += np.multiply(term, du[i], out=term)
     value -= SIGMA_INV * eps * g.integrate_raw(total, h, d)
     return value
 
@@ -372,11 +379,13 @@ def brakke_residual(
 
     lhs = np.empty(n_snap)
     integrand = np.empty(n_snap)
+    static = g._forward_differences(phi.values) if isinstance(phi, ScalarField) else None
     for k, st in enumerate(run):
         pv = phis[k].values
         lhs[k] = mu_of_phi(st, eps, pv)
         dv = dphis[k].values if dphis[k] is not None else 0.0
-        integrand[k] = brakke_rhs_integrand(st, model, flow(st, model), pv, dv)
+        diffs = static if static is not None else g._forward_differences(pv)
+        integrand[k] = _brakke_integrand(st, model, flow(st, model), pv, diffs, dv)
 
     rhs_int = 0.5 * dts * (integrand[:-1] + integrand[1:])
     return np.diff(lhs) - rhs_int

@@ -38,7 +38,7 @@ from . import grid as g
 from .dynamics import FlowEval, ModelSpec, PhaseField, constraint_violation, flow
 from .errors import InputError
 from .grid import VectorField
-from .potential import SIGMA, double_well, sqrt_double_well
+from .potential import SIGMA, _double_well_into, _sqrt_double_well_into, double_well
 
 __all__ = [
     "MeasureSample",
@@ -72,30 +72,26 @@ class MeasureSample:
     overshoot: float                   # max distance of any value outside [0, 1]
 
 
-def _grad_sq(state: PhaseField) -> np.ndarray:
-    """Stacked ``grid.grad_dot_raw(u_i, u_i)``, the squared-gradient density per phase."""
-    h = state.spec.h
-    grad_sq = np.empty(state.values.shape)
-    for ui, out in zip(state.values, grad_sq):
-        g.grad_dot_raw(ui, ui, h, out=out)
-    return grad_sq
-
-
 def energy_densities(
     state: PhaseField, eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked (grad_sq, energy, discrepancy) densities, before the SIGMA^{-1} factor.
 
     Every energy-type density of the package (energy, discrepancy, BV,
-    weighted balances, Gaussian density) is built from this one pass.  The
-    energy and discrepancy are formed in place from 0.5 eps grad_sq and W/eps.
+    weighted balances, Gaussian density) is built from this one pass.  Phase
+    by phase, grad_sq is ``grid.grad_dot_raw(u_i, u_i)`` and the energy and
+    discrepancy are formed in place from 0.5 eps grad_sq and W/eps.
     """
-    grad_sq = _grad_sq(state)
-    energy = np.multiply(0.5 * eps, grad_sq)
-    potential = double_well(state.values)
-    potential /= eps
-    discrepancy = np.subtract(energy, potential)
-    energy += potential
+    u, h = state.values, state.spec.h
+    grad_sq, energy, discrepancy = np.empty(u.shape), np.empty(u.shape), np.empty(u.shape)
+    potential, tmp = (g._scratch(state.spec.shape, slot) for slot in ("plane_a", "plane_b"))
+    for phase, gs, en, disc in zip(u, grad_sq, energy, discrepancy):
+        g.grad_dot_raw(phase, phase, h, out=gs)
+        np.multiply(0.5 * eps, gs, out=en)
+        _double_well_into(phase, potential, tmp)
+        potential /= eps
+        np.subtract(en, potential, out=disc)
+        en += potential
     return grad_sq, energy, discrepancy
 
 
@@ -131,22 +127,27 @@ def measure_sample(state: PhaseField, model: ModelSpec) -> MeasureSample:
 def _measure_sample(state: PhaseField, model: ModelSpec, densities) -> MeasureSample:
     """``measure_sample`` from the state's ``energy_densities(state, model.eps)``."""
     h, d = state.spec.h, state.spec.d
+    u = state.values
     grad_sq, energy_dens, disc_dens = densities
     energy = _integrate_phases(state, energy_dens)
-    volumes = np.array([g.integrate_raw(state.values[i], h, d) for i in range(state.n_phases)])
+    # |disc_i| and |grad u_i| sqrt(2 W(u_i)), each formed in plane scratch.
+    a, b = (g._scratch(state.spec.shape, slot) for slot in ("plane_a", "plane_b"))
+    disc_abs = _integrate_phases(state, (np.abs(x, out=a) for x in disc_dens))
+    bv = _integrate_phases(state, (
+        np.multiply(np.sqrt(gs, out=a), _sqrt_double_well_into(phase, b), out=a)
+        for gs, phase in zip(grad_sq, u)
+    ))
     return MeasureSample(
         time=state.time,
         energy_per_phase=energy,
         energy_total=float(np.sum(energy)),
         discrepancy_per_phase=_integrate_phases(state, disc_dens),
-        discrepancy_abs=float(np.sum(_integrate_phases(state, np.abs(disc_dens)))),
-        bv_proxy_per_phase=_integrate_phases(
-            state, np.sqrt(grad_sq) * sqrt_double_well(state.values)
-        ),
+        discrepancy_abs=float(np.sum(disc_abs)),
+        bv_proxy_per_phase=bv,
         constraint_drift=constraint_violation(state, model),
-        phase_volumes=volumes,
-        phase_sup=np.max(state.values.reshape(state.n_phases, -1), axis=1),
-        overshoot=float(max(0.0, np.max(state.values) - 1.0, -np.min(state.values))),
+        phase_volumes=np.array([g.integrate_raw(phase, h, d) for phase in u]),
+        phase_sup=np.max(u.reshape(state.n_phases, -1), axis=1),
+        overshoot=float(max(0.0, np.max(u) - 1.0, -np.min(u))),
     )
 
 

@@ -93,10 +93,13 @@ _DENOM_FLOOR = 1e-10
 
 # The step's temporaries live in per-thread scratch (``grid._scratch``).  The
 # float "stack_a/b/c" and bool "stack_mask" slots have the state's shape and
-# are shared by this module's functions: each fills them and reads them back
-# before it returns, holding none across a call that uses them.  Other slots
-# ("project_*": the projection's Newton state) are grid shaped and belong to
-# one function.  Arrays a caller receives are fresh allocations.
+# are shared by this module's functions, as the grid-shaped "plane_a/b" are by
+# the package's per-phase loops: each fills them and reads them back before it
+# returns, holding none across a call that uses them.  Other slots ("flow_*",
+# "project_*": the projection's Newton state) are grid shaped and belong to
+# one function.  Arrays a caller receives are fresh allocations.  Sums over
+# phases run plane by plane from zero in phase order, which is how
+# np.sum(., axis=0) adds a stack, so they are bitwise that sum.
 
 
 class ModelKind(str, enum.Enum):
@@ -182,16 +185,20 @@ def _primitive_defect(s: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phase_sum(u: np.ndarray, out: np.ndarray, square: bool = False) -> np.ndarray:
+    """sum_i u_i, or sum_i u_i^2 with ``square``, written to ``out`` plane by plane."""
+    out.fill(0.0)
+    for phase in u:
+        out += np.multiply(phase, phase, out=g._scratch(out.shape, "plane_a")) if square else phase
+    return out
+
+
 def _constraint_defect(u: np.ndarray, model: ModelSpec, out: np.ndarray) -> np.ndarray:
     """``constraint_values`` of the phases ``u``, written to ``out``."""
-    if model.kind == ModelKind.SPHERE_LL:
-        np.sum(np.multiply(u, u, out=g._scratch(u.shape, "stack_a")), axis=0, out=out)
-        out -= 1.0
-    elif model.kind == ModelKind.WEIGHTED_SQUARE:
-        _primitive_defect(u, out)
-    else:
-        np.sum(u, axis=0, out=out)
-        out -= 1.0
+    if model.kind == ModelKind.WEIGHTED_SQUARE:
+        return _primitive_defect(u, out)
+    _phase_sum(u, out, square=model.kind == ModelKind.SPHERE_LL)
+    out -= 1.0
     return out
 
 
@@ -204,66 +211,66 @@ def constraint_violation(state: PhaseField, model: ModelSpec) -> float:
     return float(np.max(np.abs(constraint_values(state, model))))
 
 
-def _chemical_potential(u: np.ndarray, lap: np.ndarray, eps: float) -> np.ndarray:
-    """-eps lap + W'(u)/eps in that order, as a fresh array; W' lives in scratch."""
-    mu = np.multiply(-eps, lap)
-    w_prime = _double_well_prime_into(
-        u, g._scratch(u.shape, "stack_a"), g._scratch(u.shape, "stack_b")
-    )
-    w_prime /= eps
-    mu += w_prime
-    return mu
-
-
 def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
     """Evaluate du/dt together with the Laplacian, chemical potential, multiplier
     and dissipation rate.
 
     du/dt = Lap u_i - W'(u_i)/eps^2 + coupling_i/eps; the eps-scaled form makes
     the sharp-interface motion law V = H hold in simulation time directly.
+    One pass over the phases forms Lap u_i, mu_i = -eps Lap u_i + W'(u_i)/eps
+    and the multiplier's sums; a second forms du_i and sums du_i^2.
     """
     _check_state(state, model)
     u = state.values
-    eps = model.eps
+    eps, kind = model.eps, model.kind
     grid_shape = state.spec.shape
+    lap, mu, du = np.empty(u.shape), np.empty(u.shape), np.empty(u.shape)
+    a, b = g._scratch(grid_shape, "plane_a"), g._scratch(grid_shape, "plane_b")
+    # The multiplier's numerator sum, then the multiplier; the quotients sum
+    # their denominator in its own slot.
+    lam = np.zeros(grid_shape)
+    weighted = kind in (ModelKind.WEIGHTED_SUM, ModelKind.WEIGHTED_SQUARE)
+    if weighted:
+        den = g._scratch(grid_shape, "flow_den")
+        den.fill(0.0)
     floored_fraction = 0.0
     # Overflow anywhere in du/dt or its rate is legitimate blow-up; it surfaces
     # via the finiteness check after stepping, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        lap = g.laplacian_raw(u, state.spec.h, axis_offset=1)
-        mu = _chemical_potential(u, lap, eps)
-        stack_a, stack_b = g._scratch(u.shape, "stack_a"), g._scratch(u.shape, "stack_b")
-
-        # The coupling is formed in du, which then becomes (coupling - mu) / eps.
-        if model.kind == ModelKind.SPHERE_LL:
-            lam = np.sum(np.multiply(u, mu, out=stack_a), axis=0)
-            du = np.multiply(lam[None], u)
-        elif model.kind == ModelKind.MEAN_SHIFT:
-            lam = np.mean(mu, axis=0)
-            du = np.empty(u.shape)
-            du[...] = lam[None]
-        else:
-            weight = _sqrt_double_well_into(u, stack_a)
-            num = g._scratch(grid_shape, "flow_num")
-            den = g._scratch(grid_shape, "flow_den")
-            if model.kind == ModelKind.WEIGHTED_SUM:
-                np.sum(mu, axis=0, out=num)
-                np.sum(weight, axis=0, out=den)
-            else:  # WEIGHTED_SQUARE
-                np.sum(np.multiply(weight, mu, out=stack_b), axis=0, out=num)
-                np.sum(np.multiply(weight, weight, out=stack_b), axis=0, out=den)
-
+        for phase, lap_i, mu_i, du_i in zip(u, lap, mu, du):
+            g.laplacian_raw(phase, state.spec.h, out=lap_i)
+            np.multiply(-eps, lap_i, out=mu_i)
+            mu_i += np.divide(_double_well_prime_into(phase, a, b), eps, out=a)
+            if weighted:  # the weight g(u_i) waits in du_i for the coupling
+                weight = _sqrt_double_well_into(phase, du_i)
+                den += weight if kind == ModelKind.WEIGHTED_SUM else np.multiply(
+                    weight, weight, out=b)
+            if kind == ModelKind.SPHERE_LL:
+                lam += np.multiply(phase, mu_i, out=a)
+            elif kind == ModelKind.WEIGHTED_SQUARE:
+                lam += np.multiply(weight, mu_i, out=a)
+            else:
+                lam += mu_i
+        if kind == ModelKind.MEAN_SHIFT:
+            lam /= u.shape[0]
+        elif weighted:
             floored = np.less(den, _DENOM_FLOOR, out=g._scratch(grid_shape, "flow_floored", bool))
             np.copyto(den, 1.0, where=floored)
-            lam = np.divide(num, den)
+            lam /= den
             np.copyto(lam, 0.0, where=floored)
-            du = np.multiply(lam[None], weight)
             floored_fraction = float(np.mean(floored))
-        du -= mu
-        du /= eps
-        # |du|^2 summed over phases into the first plane of the spent stack b.
-        du_sq = np.sum(np.multiply(du, du, out=stack_a), axis=0, out=stack_b[0])
-        rate = SIGMA_INV * eps * g.integrate_raw(du_sq, state.spec.h, state.spec.d)
+
+        # du_i = (coupling_i - mu_i) / eps, and |du|^2 summed over phases in b.
+        b.fill(0.0)
+        for phase, mu_i, du_i in zip(u, mu, du):
+            if kind == ModelKind.MEAN_SHIFT:
+                np.subtract(lam, mu_i, out=du_i)
+            else:
+                np.multiply(lam, phase if kind == ModelKind.SPHERE_LL else du_i, out=du_i)
+                du_i -= mu_i
+            du_i /= eps
+            b += np.multiply(du_i, du_i, out=a)
+        rate = SIGMA_INV * eps * g.integrate_raw(b, state.spec.h, state.spec.d)
     return FlowEval(du, lap, mu, lam, floored_fraction, rate)
 
 
@@ -338,9 +345,11 @@ def advance(
     else:
         # u + dt (rhs - lap) for the m solved phases, formed in scratch.
         m = u.shape[0] - (model.kind == ModelKind.MEAN_SHIFT)
-        imex_rhs = np.subtract(fe.rhs[:m], fe.lap[:m], out=g._scratch(u.shape, "stack_a")[:m])
-        imex_rhs *= dt
-        imex_rhs += u[:m]
+        imex_rhs = g._scratch(u.shape, "stack_a")[:m]
+        for out, rhs_i, lap_i, phase in zip(imex_rhs, fe.rhs, fe.lap, u):
+            np.subtract(rhs_i, lap_i, out=out)
+            out *= dt
+            out += phase
         new = np.empty(u.shape)
         g.helmholtz_solve_raw(imex_rhs, 1.0, dt, state.spec, out=new[:m])
         if m < u.shape[0]:  # the last phase is S minus the solved ones
@@ -458,7 +467,7 @@ def project_constraint(
     buf = g._scratch(state.spec.shape, "project_defect")
     if model.kind == ModelKind.SPHERE_LL:
         # sum u^2 once: rounding is monotone, so max(sq - 1) = max(sq) - 1.
-        sq = np.sum(np.multiply(u, u, out=g._scratch(u.shape, "stack_a")), axis=0, out=buf)
+        sq = _phase_sum(u, buf, square=True)
         violation = float(max(np.max(sq) - 1.0, 1.0 - np.min(sq)))
     else:
         defect = _constraint_defect(u, model, buf)
@@ -469,14 +478,17 @@ def project_constraint(
             f"state is {violation:.3e} from the constraint manifold "
             f"(limit {max_violation:.3e})"
         )
+    if model.kind == ModelKind.WEIGHTED_SQUARE:
+        return state._with_finite_values(_project_weighted_square(u, defect))
     if model.kind == ModelKind.SPHERE_LL:
         norm = np.sqrt(sq, out=sq)
         if np.any(norm < 1e-150):
             raise ProjectionSingularError("zero phase vector: radial projection undefined")
-        new = u / norm[None]
-    elif model.kind == ModelKind.WEIGHTED_SQUARE:
-        new = _project_weighted_square(u, defect)
+        op, plane = np.divide, norm
     else:
         defect /= model.n_phases
-        new = u - defect[None]
+        op, plane = np.subtract, defect
+    new = np.empty(u.shape)
+    for phase, out in zip(u, new):
+        op(phase, plane, out=out)
     return state._with_finite_values(new)

@@ -18,10 +18,14 @@ Every stencil is a slicing kernel (``_periodic_pair``) with the summation
 order of its ``np.roll`` form, so every value equals that form's.
 
 Temporaries of the time step live in per-thread scratch (``_scratch``), which
-this module, ``dynamics`` and ``analysis`` share.  The rule: a scratch buffer
-never leaves the function that fills it.  Every array a caller receives (a
-stencil's result, a solve's output, a ``FlowEval`` field, a new state) is
-freshly allocated or the caller's own ``out=``, so no later call changes it.
+this module, ``dynamics``, ``diagnostics`` and ``analysis`` share.  The rule: a
+scratch buffer never leaves the function that fills it.  Every array a caller
+receives (a stencil's result, a solve's output, a ``FlowEval`` field, a new
+state) is freshly allocated or the caller's own ``out=``, so no later call
+changes it.  Stack kernels loop over phase planes, so their temporaries are
+planes (one fits in L2 at n = 256, a stack does not), in slots that belong to
+one function or in the grid-shaped "plane_a" and "plane_b" that the per-phase
+loops of those modules share.
 
 ``helmholtz_solve_raw`` inverts (a*I - b*Lap_h) by diagonalizing the exact
 stencil symbol with the FFT, so its Laplacian matches ``laplacian_raw`` to
@@ -132,7 +136,7 @@ def torus_delta(x: np.ndarray, c) -> np.ndarray:
 
 
 def _periodic_pair(op, x: np.ndarray, sx: int, y: np.ndarray, sy: int, axis: int,
-                   out: np.ndarray) -> None:
+                   out: np.ndarray) -> np.ndarray:
     """out[j] = op(x[j+sx], y[j+sy]) along ``axis`` with periodic wrap, for shifts in {-1, 0, 1}.
 
     ``out`` must be C-contiguous.  One slice assignment on the flattened
@@ -153,6 +157,7 @@ def _periodic_pair(op, x: np.ndarray, sx: int, y: np.ndarray, sy: int, axis: int
         jx, jy = (j + sx) % n, (j + sy) % n
         op(x[lead + (slice(jx, jx + 1),)], y[lead + (slice(jy, jy + 1),)],
            out=out[lead + (slice(j, j + 1),)])
+    return out
 
 
 class _Scratch(threading.local):
@@ -227,20 +232,30 @@ def grad_dot_raw(
     each difference is formed once and squared in place.
     """
     if out is None:
-        out = np.zeros(a.shape)
+        out = np.empty(a.shape)
     elif not (out.flags.c_contiguous and out.shape == a.shape):
         raise ValueError("grad_dot_raw needs a C-contiguous out of the input's shape")
-    else:
-        out.fill(0.0)
-    p = _scratch(a.shape, "grad_dot_p")
-    q = _scratch(a.shape, "grad_dot_q")
+    return _grad_dot_into(a, None, b, h, out)
+
+
+def _forward_differences(a: np.ndarray) -> list[np.ndarray]:
+    """a[j+1] - a[j] along each axis, fresh: ``_grad_dot_into``'s ``a_diffs``."""
+    return [_periodic_pair(np.subtract, a, 1, a, 0, ax, np.empty(a.shape)) for ax in range(a.ndim)]
+
+
+def _grad_dot_into(a: np.ndarray, a_diffs: list[np.ndarray] | None, b: np.ndarray, h: float,
+                   out: np.ndarray) -> np.ndarray:
+    """``grad_dot_raw(a, b, h, out)``, reading a's differences from ``a_diffs``
+    where given (a field fixed over many calls), with the same operations."""
+    out.fill(0.0)
+    p, q = _scratch(a.shape, "grad_dot_p"), _scratch(a.shape, "grad_dot_q")
     for ax in range(out.ndim):
-        _periodic_pair(np.subtract, a, 1, a, 0, ax, p)
-        if b is a:
-            p *= p
-        else:
+        if a_diffs is None:
+            _periodic_pair(np.subtract, a, 1, a, 0, ax, p)
+        da = p if a_diffs is None else a_diffs[ax]
+        if b is not a:
             _periodic_pair(np.subtract, b, 1, b, 0, ax, q)
-            p *= q
+        np.multiply(da, da if b is a else q, out=p)
         _periodic_pair(np.add, p, 0, p, -1, ax, q)
         out += q
     out *= 0.5 / (h * h)
@@ -307,15 +322,21 @@ def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec,
     for ax in axes[:-1]:
         np.fft.ifft(spectrum, axis=ax, out=spectrum)
     x = np.fft.irfft(spectrum, n=spec.n, axis=axes[-1], out=out)
-    # residual = a x - b Lap x - rhs, in that order: b Lap x in the residual
-    # buffer, a x in the Laplacian's neighbour-sum buffer, free once it returns.
-    residual = laplacian_raw(x, spec.h, axis_offset, out=_scratch(x.shape, "residual"))
-    residual *= b
-    a_x = np.multiply(x, a, out=_scratch(x.shape, "laplacian"))
-    np.subtract(a_x, residual, out=residual)
-    residual -= rhs
-    worst = float(np.max(np.abs(residual, out=residual)))
-    bound = 1e-10 * max(np.max(rhs), -np.min(rhs), np.finfo(np.float64).tiny)
+    # Plane by plane, residual = a x - b Lap x - rhs in that order: b Lap x in
+    # the residual slot, a x in the Laplacian's neighbour-sum slot, free once
+    # it returns.  Each plane keeps its max |residual|, max rhs and -min rhs.
+    residual = _scratch(spec.shape, "residual")
+    a_x = _scratch(spec.shape, "laplacian")
+    planes = zip(x.reshape((-1,) + spec.shape), rhs.reshape((-1,) + spec.shape))
+    stats = np.empty((3, math.prod(rhs.shape[:axis_offset])))
+    for k, (x_k, rhs_k) in enumerate(planes):
+        laplacian_raw(x_k, spec.h, out=residual)
+        residual *= b
+        np.subtract(np.multiply(x_k, a, out=a_x), residual, out=residual)
+        residual -= rhs_k
+        stats[:, k] = np.max(np.abs(residual, out=residual)), np.max(rhs_k), -np.min(rhs_k)
+    worst, high, low = (float(v) for v in np.max(stats, axis=1))
+    bound = 1e-10 * max(high, low, np.finfo(np.float64).tiny)
     if worst > bound:
         raise SolverFailureError(
             f"helmholtz residual {worst:.3e} exceeds 1e-10 * max|rhs| = {bound:.3e}"

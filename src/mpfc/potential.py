@@ -41,13 +41,17 @@ SIGMA = 1.0 / 6.0
 def double_well(s):
     """W(s) = (1-s)^2 s^2 / 2."""
     s = np.asarray(s, dtype=np.float64)
-    # (0.5 s^2) (1-s)^2 in two allocations.  On a 0-d input the results are
-    # numpy scalars and the augmented assignments rebind instead.
-    out = s * s
+    out = _double_well_into(s, np.empty(s.shape), np.empty(s.shape))
+    return out if out.ndim else out[()]
+
+
+def _double_well_into(s: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """W(s) = (0.5 s^2) (1-s)^2 into ``out``, with ``tmp`` as work space; both s-shaped."""
+    np.multiply(s, s, out=out)
     out *= 0.5
-    t = 1.0 - s
-    t *= t
-    out *= t
+    np.subtract(1.0, s, out=tmp)
+    tmp *= tmp
+    out *= tmp
     return out
 
 

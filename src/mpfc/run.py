@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grid as g
-from .analysis import _check_test_function, _mu_of_phi, brakke_rhs_integrand
+from .analysis import _brakke_integrand, _check_test_function, _mu_of_phi
 from .diagnostics import MeasureSample, _measure_sample, energy_densities
 from .dynamics import PhaseField, advance, check_scheme, flow, max_neighbor_jump
 from .errors import BlowUpError, ProjectionError, ScenarioError
@@ -118,6 +118,7 @@ def run_simulation(
             raise ValueError(f"Brakke series {name!r}: phi is static, so d_t phi must be None")
         _check_test_function(phi, scenario.grid)
     phi_vals = [phi.values for phi, _ in phis.values()]
+    phi_diffs = [g._forward_differences(pv) for pv in phi_vals]  # phi is static
 
     model = scenario.model
     state = first = last = build_scenario(scenario)
@@ -156,7 +157,8 @@ def run_simulation(
     try:
         for step_index in range(n_steps + 1):
             fe = flow(state, model)
-            row = [-fe.rate] + [brakke_rhs_integrand(state, model, fe, pv) for pv in phi_vals]
+            row = [-fe.rate] + [_brakke_integrand(state, model, fe, pv, diffs)
+                                for pv, diffs in zip(phi_vals, phi_diffs)]
             if prev is not None:
                 cum = [c + dt * 0.5 * (p + i) for c, p, i in zip(cum, prev, row)]
             prev = row

@@ -309,8 +309,8 @@ class Scenario:
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
         if not 0 <= self.t_end < np.inf:
             raise ScenarioError(f"t_end must be nonnegative and finite, got {self.t_end}")
-        if self.snapshot_every < 1:
-            raise ScenarioError("snapshot_every must be >= 1")
+        if type(self.snapshot_every) is not int or self.snapshot_every < 1:
+            raise ScenarioError(f"snapshot_every must be an int >= 1, got {self.snapshot_every!r}")
         if self.projection not in ("off", "every_step"):
             raise ScenarioError(f"unknown projection policy {self.projection!r}")
         if self.scheme not in SCHEMES:

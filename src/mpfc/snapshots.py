@@ -32,6 +32,7 @@ __all__ = ["write_snapshot", "read_snapshot", "emit_timeseries", "timeseries_hea
 
 MAGIC = b"MPFC0001"
 _HEADER_KEYS = ("d", "n", "N", "eps", "time", "model")
+_HEADER_CHUNK = 4096  # bytes read at a time while looking for the header's end
 
 
 def _fmt(x: float) -> str:
@@ -48,49 +49,53 @@ def write_snapshot(state: PhaseField, model: ModelSpec, path: str | os.PathLike)
         f"time={_fmt(state.time)}\n"
         f"model={model.kind.value}\n"
     )
-    payload = np.ascontiguousarray(state.values, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
-        fh.write(MAGIC + b"\n" + header.encode("ascii") + b"\n" + payload)
+        fh.write(MAGIC + b"\n" + header.encode("ascii") + b"\n")
+        fh.write(np.ascontiguousarray(state.values, dtype="<f8"))
 
 
 def read_snapshot(path: str | os.PathLike) -> tuple[PhaseField, ModelSpec]:
-    """Read a snapshot, returning the state and its model spec."""
-    data = Path(path).read_bytes()
-    if len(data) < len(MAGIC) + 1 or data[: len(MAGIC)] != MAGIC:
-        raise SnapshotFormatError(f"{path}: bad magic bytes (not an MPFC0001 snapshot)")
-    sep = data.find(b"\n\n", len(MAGIC))
-    if sep < 0:
-        raise SnapshotFormatError(f"{path}: header not terminated by a blank line")
-    header_text = data[len(MAGIC) + 1 : sep].decode("ascii", errors="replace")
-    fields: dict[str, str] = {}
-    for line in header_text.splitlines():
-        if "=" not in line:
-            raise SnapshotFormatError(f"{path}: malformed header line {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
-    if set(fields) != set(_HEADER_KEYS):
-        raise SnapshotFormatError(
-            f"{path}: header keys {sorted(fields)} != expected {sorted(_HEADER_KEYS)}"
-        )
-    try:
-        d = int(fields["d"])
-        n = int(fields["n"])
-        n_phases = int(fields["N"])
-        eps = float(fields["eps"])
-        time = float(fields["time"])
-        kind = ModelKind(fields["model"])
-    except (ValueError, KeyError) as exc:
-        raise SnapshotFormatError(f"{path}: invalid header value ({exc})") from exc
-    if not 0.0 <= time < np.inf:
-        raise SnapshotFormatError(f"{path}: time must be finite and nonnegative, got {time}")
+    """Read a snapshot, returning the state and its model spec; the payload is
+    read straight into the state's array once its size matches the header."""
+    with open(path, "rb") as fh:
+        data = fh.read(_HEADER_CHUNK)
+        if len(data) < len(MAGIC) + 1 or data[: len(MAGIC)] != MAGIC:
+            raise SnapshotFormatError(f"{path}: bad magic bytes (not an MPFC0001 snapshot)")
+        while (sep := data.find(b"\n\n", len(MAGIC))) < 0 and (more := fh.read(_HEADER_CHUNK)):
+            data += more
+        if sep < 0:
+            raise SnapshotFormatError(f"{path}: header not terminated by a blank line")
+        header_text = data[len(MAGIC) + 1 : sep].decode("ascii", errors="replace")
+        fields: dict[str, str] = {}
+        for line in header_text.splitlines():
+            if "=" not in line:
+                raise SnapshotFormatError(f"{path}: malformed header line {line!r}")
+            key, value = line.split("=", 1)
+            fields[key.strip()] = value.strip()
+        if set(fields) != set(_HEADER_KEYS):
+            raise SnapshotFormatError(
+                f"{path}: header keys {sorted(fields)} != expected {sorted(_HEADER_KEYS)}"
+            )
+        try:
+            d = int(fields["d"])
+            n = int(fields["n"])
+            n_phases = int(fields["N"])
+            eps = float(fields["eps"])
+            time = float(fields["time"])
+            kind = ModelKind(fields["model"])
+        except (ValueError, KeyError) as exc:
+            raise SnapshotFormatError(f"{path}: invalid header value ({exc})") from exc
+        if not 0.0 <= time < np.inf:
+            raise SnapshotFormatError(f"{path}: time must be finite and nonnegative, got {time}")
 
-    expected = n_phases * n**d * 8
-    payload = data[sep + 2 :]
-    if len(payload) != expected:
-        raise SnapshotFormatError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        expected = n_phases * n**d * 8
+        size = os.fstat(fh.fileno()).st_size - (sep + 2)
+        if size != expected:
+            raise SnapshotFormatError(f"{path}: payload has {size} bytes, expected {expected}")
+        values = np.empty(expected // 8, dtype="<f8")
+        fh.seek(sep + 2)
+        if fh.readinto(values) != expected:
+            raise SnapshotFormatError(f"{path}: file changed while its payload was read")
     try:
         spec = GridSpec(d, n)
         state = PhaseField(spec, values.reshape((n_phases,) + spec.shape), time=time)

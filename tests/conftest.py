@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, project_constraint
-from mpfc.grid import GridSpec, ScalarField
-from mpfc.potential import optimal_profile
+from mpfc.grid import GridSpec, ScalarField, grad_dot_raw, integrate_raw
+from mpfc.potential import SIGMA, optimal_profile, well_primitive
 
 
 def double_profile(spec: GridSpec, eps: float, lo: float = 0.25, hi: float = 0.75, axis: int = 0) -> np.ndarray:
@@ -68,6 +68,48 @@ def projected_sphere_state(n: int = 64, eps: float = 0.0625, seed: int = 0) -> t
     vals = st.values + 0.5
     st = PhaseField(spec, vals)
     return project_constraint(st, model, max_violation=np.inf), model
+
+
+# Sums over phases as np.sum(., axis=0) of a stack: the reference that the
+# package's per-plane sums match bitwise.
+def stacked_defect(u, model):
+    if model.kind == ModelKind.SPHERE_LL:
+        return np.sum(u * u, axis=0) - 1.0
+    if model.kind == ModelKind.WEIGHTED_SQUARE:
+        return np.sum(well_primitive(u), axis=0) - 1.0 / 6.0
+    return np.sum(u, axis=0) - 1.0
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def manifold_pair(kind, n_phases, n):
+    """The model, a state on its constraint manifold with a patch of pure
+    cells (floored for the quotient multipliers), and a state off it.  eps is
+    not a power of two, so dividing by it and multiplying by 1/eps differ."""
+    spec = GridSpec(2, n)
+    model = ModelSpec(kind, 3.7 / n, n_phases)
+    raw = random_smooth_state(spec, n_phases, seed=n + n_phases).values
+    on = project_constraint(PhaseField(spec, raw + 0.2), model, max_violation=np.inf).values.copy()
+    on[:, :3, :3] = np.eye(n_phases)[:, 0, None, None]
+    return model, PhaseField(spec, on), PhaseField(spec, on + 0.05 * raw)
+
+
+def written_out_brakke_integrand(state, model, fe, phi_values) -> float:
+    """``analysis.brakke_rhs_integrand`` for a static phi, from the public
+    ``grad_dot_raw`` and in the same order of operations."""
+    h, d, eps, du = state.spec.h, state.spec.d, model.eps, fe.rhs
+    sigma_inv = 1.0 / SIGMA
+    total = np.zeros(state.spec.shape)
+    for i in range(state.n_phases):
+        total += du[i] * du[i]
+    value = 0.0 - sigma_inv * eps * integrate_raw(total * phi_values, h, d)
+    total = np.zeros(state.spec.shape)
+    for i in range(state.n_phases):
+        total += grad_dot_raw(phi_values, state.values[i], h) * du[i]
+    return value - sigma_inv * eps * integrate_raw(total, h, d)
 
 
 def write_raw_snapshot(path, values: np.ndarray | None = None, **header) -> None:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import disk_state, random_smooth_state, strip_state
+from conftest import disk_state, random_smooth_state, strip_state, written_out_brakke_integrand
 from mpfc.analysis import (
     KernelSpec,
     backward_heat_kernel,
@@ -248,6 +248,28 @@ class TestMonotonicityCheck:
 
 
 class TestBrakkeResidual:
+    def test_static_phi_series_equals_the_public_integrand(self):
+        # One static field is differenced once for the whole run, a field per
+        # snapshot once per snapshot; both must give the series formed from
+        # mu_of_phi and brakke_rhs_integrand, bit for bit.
+        spec = GridSpec(2, 64)
+        model = ModelSpec(ModelKind.SPHERE_LL, 4.0 / 64, 3)
+        scenario = Scenario(geometry=Disk(radius=0.25), model=model, grid=spec, dt=spec.h**2,
+                            t_end=6 * spec.h**2, snapshot_every=2, projection="off")
+        states = run_simulation(scenario, keep_states=True).states
+        phi = bump_field(spec, center=(0.4, 0.5))
+        lhs = np.array([mu_of_phi(st, model.eps, phi.values) for st in states])
+        integrand = np.array(
+            [brakke_rhs_integrand(st, model, flow(st, model), phi.values) for st in states]
+        )
+        assert integrand.tolist() == [
+            written_out_brakke_integrand(st, model, flow(st, model), phi.values) for st in states
+        ]
+        dts = np.diff([st.time for st in states])
+        want = np.diff(lhs) - 0.5 * dts * (integrand[:-1] + integrand[1:])
+        for field in (phi, [phi] * len(states)):
+            assert brakke_residual(states, model.eps, model, field).tobytes() == want.tobytes()
+
     def test_equilibrium_run_has_zero_residual(self):
         spec = GridSpec(2, 32)
         states = equilibrium_run(spec)

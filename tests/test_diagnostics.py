@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from conftest import disk_state, random_smooth_state, strip_state, projected_sphere_state
+from conftest import (
+    disk_state,
+    manifold_pair,
+    projected_sphere_state,
+    random_smooth_state,
+    same_bits,
+    stacked_defect,
+    strip_state,
+)
 from mpfc.analysis import mu_of_phi
 from mpfc.diagnostics import (
+    SIGMA_INV,
     energy_bv_gap,
+    energy_densities,
     energy_measure,
     first_variation,
     mean_curvature_proxy,
@@ -188,6 +198,55 @@ class TestMeasureSample:
         monkeypatch.setattr(mpfc.diagnostics, "flow", no_flow)
         sample = measure_sample(state, ModelSpec(kind, 0.125, 3))
         assert sample.energy_total > 0.0
+
+
+# Stacked forms of the per-plane density and sample kernels, the reference
+# they must match bitwise: same ufuncs on the same operands, with the
+# temporaries as whole stacks.
+
+
+def stacked_energy_densities(state, eps):
+    h = state.spec.h
+    grad_sq = np.stack([grad_dot_raw(u, u, h) for u in state.values])
+    energy = np.multiply(0.5 * eps, grad_sq)
+    potential = double_well(state.values) / eps
+    return grad_sq, energy + potential, energy - potential
+
+
+def stacked_measure_sample(state, model):
+    h, d, u = state.spec.h, state.spec.d, state.values
+    grad_sq, energy_dens, disc_dens = stacked_energy_densities(state, model.eps)
+
+    def integrals(dens):
+        return np.array([SIGMA_INV * integrate_raw(x, h, d) for x in dens])
+
+    energy = integrals(energy_dens)
+    return {
+        "time": state.time,
+        "energy_per_phase": energy,
+        "energy_total": float(np.sum(energy)),
+        "discrepancy_per_phase": integrals(disc_dens),
+        "discrepancy_abs": float(np.sum(integrals(np.abs(disc_dens)))),
+        "bv_proxy_per_phase": integrals(np.sqrt(grad_sq) * sqrt_double_well(u)),
+        "constraint_drift": float(np.max(np.abs(stacked_defect(u, model)))),
+        "phase_volumes": np.array([integrate_raw(x, h, d) for x in u]),
+        "phase_sup": np.max(u.reshape(state.n_phases, -1), axis=1),
+        "overshoot": float(max(0.0, np.max(u) - 1.0, -np.min(u))),
+    }
+
+
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("n_phases", [2, 3])
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_densities_and_sample_match_stacked_forms(kind, n_phases, n):
+    model, on, off = manifold_pair(kind, n_phases, n)
+    for state in (on, off):
+        for got, want in zip(energy_densities(state, model.eps),
+                             stacked_energy_densities(state, model.eps), strict=True):
+            assert same_bits(got, want)
+        sample = measure_sample(state, model)
+        for name, want in stacked_measure_sample(state, model).items():
+            assert same_bits(getattr(sample, name), want), name
 
 
 class TestFirstVariation:

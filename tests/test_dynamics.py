@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import disk_state, double_profile, random_smooth_state, strip_state, projected_sphere_state
+from conftest import (
+    disk_state,
+    double_profile,
+    manifold_pair,
+    projected_sphere_state,
+    random_smooth_state,
+    same_bits,
+    stacked_defect,
+    strip_state,
+)
 import mpfc.dynamics as dynamics
 from mpfc.dynamics import (
     ModelKind,
@@ -564,6 +573,83 @@ class TestMeanShiftDerivedPhase:
         assert np.max(np.abs(new[-1] - full[-1])) <= 1e-13
         residual = new[-1] - dt * laplacian_raw(new[-1], spec.h) - rhs[-1]
         assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+# Stacked forms of the per-plane kernels, the reference they must match
+# bitwise: every sum over phases is np.sum(., axis=0) of a stack, and every
+# other step is the same ufunc on the same operands.
+
+
+def stacked_flow(state, model):
+    u, eps, h = state.values, model.eps, state.spec.h
+    lap = laplacian_raw(u, h, axis_offset=1)
+    mu = np.multiply(-eps, lap) + double_well_prime(u) / eps
+    floored_fraction = 0.0
+    if model.kind == ModelKind.SPHERE_LL:
+        lam = np.sum(u * mu, axis=0)
+        du = lam[None] * u - mu
+    elif model.kind == ModelKind.MEAN_SHIFT:
+        lam = np.mean(mu, axis=0)
+        du = lam[None] - mu
+    else:
+        weight = sqrt_double_well(u)
+        if model.kind == ModelKind.WEIGHTED_SUM:
+            num, den = np.sum(mu, axis=0), np.sum(weight, axis=0)
+        else:
+            num, den = np.sum(weight * mu, axis=0), np.sum(weight * weight, axis=0)
+        floored = den < 1e-10
+        lam = np.where(floored, 0.0, num / np.where(floored, 1.0, den))
+        du = lam[None] * weight - mu
+        floored_fraction = float(np.mean(floored))
+    du /= eps
+    rate = dynamics.SIGMA_INV * eps * integrate_raw(np.sum(du * du, axis=0), h, state.spec.d)
+    return du, lap, mu, lam, floored_fraction, rate
+
+
+def stacked_projection(u, model):
+    if model.kind == ModelKind.SPHERE_LL:
+        return u / np.sqrt(np.sum(u * u, axis=0))[None]
+    if model.kind == ModelKind.WEIGHTED_SQUARE:
+        return _project_weighted_square(u, stacked_defect(u, model))
+    return u - (stacked_defect(u, model) / model.n_phases)[None]
+
+
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("n_phases", [2, 3])
+@pytest.mark.parametrize("kind", list(ModelKind))
+class TestPlaneKernelsMatchStackedForms:
+    def test_flow(self, kind, n_phases, n):
+        model, on, off = manifold_pair(kind, n_phases, n)
+        for state in (on, off):
+            for got, want in zip(flow(state, model), stacked_flow(state, model), strict=True):
+                assert same_bits(got, want)
+        if kind in (ModelKind.WEIGHTED_SUM, ModelKind.WEIGHTED_SQUARE):
+            assert flow(on, model).floored_fraction > 0.0
+
+    def test_projection_and_constraint_values(self, kind, n_phases, n):
+        # Some off-manifold WeightedSquare states here fail to converge (a
+        # cell just past both wells, where f' vanishes at the root); the two
+        # forms must then fail alike.
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ProjectionError as exc:
+                return repr(exc)
+
+        model, on, off = manifold_pair(kind, n_phases, n)
+        for state in (on, off):
+            assert same_bits(constraint_values(state, model), stacked_defect(state.values, model))
+            got = outcome(lambda: project_constraint(state, model, max_violation=np.inf).values)
+            want = outcome(stacked_projection, state.values, model)
+            assert got == want if isinstance(want, str) else same_bits(got, want)
+
+    def test_imex_right_hand_side(self, kind, n_phases, n):
+        model, _, off = manifold_pair(kind, n_phases, n)
+        dt = 0.7 * off.spec.h**2  # not a power of two, like eps
+        fe = flow(off, model)
+        m = n_phases - (kind == ModelKind.MEAN_SHIFT)
+        want = helmholtz_solve_raw(((fe.rhs - fe.lap) * dt + off.values)[:m], 1.0, dt, off.spec)
+        assert same_bits(advance(off, model, dt, "IMEX", fe).values[:m], want)
 
 
 class TestSmoothnessGuard:

@@ -5,6 +5,7 @@ import pytest
 
 import mpfc.grid
 from conftest import disk_state, random_smooth_state, strip_state
+from mpfc.diagnostics import energy_densities, measure_sample
 from mpfc.dynamics import (
     ModelKind,
     ModelSpec,
@@ -357,6 +358,43 @@ class TestScratchNeverEscapes:
         for field, before in zip(fe, kept, strict=True):
             assert np.array_equal(field, before)
 
+    @pytest.mark.parametrize("kind", [ModelKind.SPHERE_LL, ModelKind.WEIGHTED_SQUARE])
+    def test_three_phase_flow_eval_unchanged_by_later_calls(self, kind):
+        n_phases = 3
+        model = ModelSpec(kind, 8.0 / 64, n_phases)
+        first, second = (
+            project_constraint(disk_state(n=64, radius=r, n_phases=n_phases), model,
+                               max_violation=np.inf)
+            for r in (0.3, 0.2)
+        )
+        fe = flow(first, model)
+        kept = [np.copy(x) for x in fe]
+        later = flow(second, model)
+        helmholtz_solve_raw(np.ones((n_phases, 64, 64)), 1.0, 0.01, GridSpec(2, 64))
+        advance(second, model, 0.01 * second.spec.h, "IMEX", later, project=True)
+        energy_densities(second, model.eps)
+        for field, before in zip(fe, kept, strict=True):
+            assert np.array_equal(field, before)
+        for field, other in zip(fe[:4], later[:4]):
+            assert not np.shares_memory(field, other)
+
+    def test_energy_densities_unchanged_by_later_calls(self):
+        model = ModelSpec(ModelKind.SPHERE_LL, 8.0 / 64, 3)
+        spec = GridSpec(2, 64)
+        first, second = (
+            project_constraint(PhaseField(spec, random_smooth_state(spec, 3, seed).values + 0.2),
+                               model, max_violation=np.inf)
+            for seed in (8, 9)
+        )
+        densities = energy_densities(first, model.eps)
+        kept = [np.copy(x) for x in densities]
+        later = energy_densities(second, model.eps)
+        measure_sample(second, model)
+        flow(second, model)
+        for dens, before, other in zip(densities, kept, later, strict=True):
+            assert np.array_equal(dens, before)
+            assert not np.shares_memory(dens, other)
+
 
 def test_helmholtz_residual_contract_fires(monkeypatch):
     # A solve that inverts a 0.1 % wrong symbol leaves a residual far above
@@ -367,4 +405,18 @@ def test_helmholtz_residual_contract_fires(monkeypatch):
     x, y = spec.meshgrid()
     rhs = np.cos(2 * np.pi * x) + 0.5 * np.sin(2 * np.pi * 3 * y)
     with pytest.raises(SolverFailureError, match=r"helmholtz residual .* exceeds 1e-10 \* max\|rhs\|"):
+        helmholtz_solve_raw(rhs, 1.0, 1e-3, spec)
+
+
+def test_helmholtz_residual_checked_on_every_plane(monkeypatch):
+    # The same 0.1 % wrong symbol is exact on a constant (its symbol is 0
+    # there), so a stack whose first plane is constant fails on its second
+    # plane only: the check must reach every plane.
+    spec = GridSpec(2, 32)
+    true_symbol = stencil_symbol(spec)
+    monkeypatch.setattr(mpfc.grid, "stencil_symbol", lambda s: 1.001 * true_symbol)
+    x, y = spec.meshgrid()
+    rhs = np.stack([np.full(spec.shape, 2.0), np.cos(2 * np.pi * x) + np.sin(2 * np.pi * 3 * y)])
+    assert np.array_equal(helmholtz_solve_raw(rhs[:1], 1.0, 1e-3, spec), np.full((1, 32, 32), 2.0))
+    with pytest.raises(SolverFailureError, match="helmholtz residual"):
         helmholtz_solve_raw(rhs, 1.0, 1e-3, spec)

@@ -11,6 +11,8 @@ from mpfc.errors import (
     ProjectionError,
     ScenarioError,
 )
+from conftest import written_out_brakke_integrand
+from mpfc.analysis import brakke_rhs_integrand
 from mpfc.cli import _RATIO_WINDOWS
 from mpfc.grid import GridSpec, ScalarField
 from mpfc.run import load_run_states, run_simulation
@@ -33,6 +35,23 @@ class TestRunSimulation:
         rec = run_simulation(disk_scenario(t_end=0.0))
         assert len(rec.samples) == 1
         assert rec.samples[0].time == 0.0
+
+    @pytest.mark.parametrize("kind, n_phases", [(ModelKind.MEAN_SHIFT, 2), (ModelKind.SPHERE_LL, 3)])
+    def test_streamed_brakke_series_equals_the_public_integrand(self, kind, n_phases):
+        # The run differences its static phi once; the integrand of every
+        # step must still be brakke_rhs_integrand's, bit for bit.
+        scn = disk_scenario(t_end=12 * (1.0 / 128) ** 2, kind=kind, n_phases=n_phases,
+                            snapshot_every=1, projection="off")
+        phi = bump_field(scn.grid, center=(0.45, 0.5))
+        rec = run_simulation(scn, keep_states=True, brakke_phis={"bump": (phi, None)})
+        integrand = [brakke_rhs_integrand(st, scn.model, flow(st, scn.model), phi.values)
+                     for st in rec.states]
+        assert integrand == [written_out_brakke_integrand(st, scn.model, flow(st, scn.model),
+                                                          phi.values) for st in rec.states]
+        cumulative = [0.0]
+        for p, i in zip(integrand, integrand[1:]):
+            cumulative.append(cumulative[-1] + scn.dt * 0.5 * (p + i))
+        assert rec.brakke["bump"].rhs_cumulative.tobytes() == np.array(cumulative).tobytes()
 
     def test_sample_times_strictly_increasing(self):
         rec = run_simulation(disk_scenario())

@@ -302,3 +302,13 @@ class TestScenarioValidation:
             schedule = {"dt": 1e-5, "t_end": 0.1, key: value}
             with pytest.raises(ScenarioError, match=f"{key} must be"):
                 Scenario(geometry=Disk(), model=model, grid=SPEC, **schedule)
+
+    @pytest.mark.parametrize("stride", [2.5, 2.0, True, "4", 0])
+    def test_snapshot_every_must_be_a_positive_int(self, stride):
+        # A float stride used to pass here and fail later inside
+        # run_simulation with a bare TypeError from range().
+        model = ModelSpec(ModelKind.MEAN_SHIFT, EPS, 2)
+        with pytest.raises(ScenarioError, match="snapshot_every must be an int >= 1"):
+            Scenario(geometry=Disk(), model=model, grid=SPEC, dt=1e-5, t_end=0.1,
+                     snapshot_every=stride)
+        Scenario(geometry=Disk(), model=model, grid=SPEC, dt=1e-5, t_end=0.1, snapshot_every=3)

@@ -1,5 +1,7 @@
 """Snapshot format round trips and the CSV schema."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,32 @@ class TestSnapshotRoundTrip:
         write_raw_snapshot(path, values)
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
+
+    def test_header_longer_than_one_read_chunk(self, tmp_path):
+        # The reader looks for the blank line chunk by chunk; a padded value
+        # pushes it past the first chunks.
+        path = tmp_path / "long.mpfc"
+        values = np.arange(2 * 16 * 16, dtype=np.float64)
+        write_raw_snapshot(path, values, eps="0.25" + "0" * 10000)
+        back, model = read_snapshot(path)
+        assert model.eps == 0.25
+        assert np.array_equal(back.values.reshape(-1), values)
+
+    def test_read_allocates_the_state_array_only(self, tmp_path):
+        # The payload goes straight into the state's array: no bytes copy of
+        # the file and no second array.
+        state = disk_state(128)
+        path = tmp_path / "s.mpfc"
+        write_snapshot(state, model2(), path)
+        read_snapshot(path)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            back, _ = read_snapshot(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < back.values.nbytes + 64 * 1024
 
 
 class TestTimeseries:
