@@ -51,11 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
-from .diagnostics import energy_densities
+from .diagnostics import energy_densities, mu_of_phi
 from .dynamics import FlowEval, ModelKind, ModelSpec, PhaseField, flow
 from .errors import InputError
 from .grid import GridSpec, ScalarField
-from .potential import SIGMA
+from .potential import SIGMA_INV
 
 __all__ = [
     "KernelSpec",
@@ -66,10 +66,9 @@ __all__ = [
     "monotonicity_check",
     "brakke_residual",
     "brakke_rhs_integrand",
+    "check_test_function",
     "mu_of_phi",
 ]
-
-SIGMA_INV = 1.0 / SIGMA
 
 
 @dataclass(frozen=True)
@@ -273,7 +272,7 @@ def _check_eps(eps: float, model: ModelSpec) -> None:
         raise InputError(f"eps={eps} differs from the model's eps={model.eps}")
 
 
-def _check_test_function(phi: ScalarField, spec: GridSpec) -> None:
+def check_test_function(phi: ScalarField, spec: GridSpec) -> None:
     """Reject a weighted-balance test function that is negative or off the run's grid."""
     if phi.spec != spec:
         raise InputError(f"test function lives on {phi.spec}, the run on {spec}")
@@ -281,45 +280,28 @@ def _check_test_function(phi: ScalarField, spec: GridSpec) -> None:
         raise InputError("Brakke test functions must be nonnegative")
 
 
-def mu_of_phi(state: PhaseField, eps: float, phi_values: np.ndarray) -> float:
-    """int phi d(mu_t) for a nonnegative test function sampled on the grid."""
-    return _mu_of_phi(state, energy_densities(state, eps)[1], phi_values)
-
-
-def _mu_of_phi(state: PhaseField, energy_dens: np.ndarray, phi_values: np.ndarray) -> float:
-    """``mu_of_phi`` from the state's stacked energy densities (``energy_densities(...)[1]``)."""
-    energy = SIGMA_INV * sum(energy_dens)
-    return g.integrate_raw(phi_values * energy, state.spec.h, state.spec.d)
-
-
 def brakke_rhs_integrand(
     state: PhaseField,
     model: ModelSpec,
     fe: FlowEval,
-    phi_values: np.ndarray,
-    dphi_dt_values: np.ndarray | float = 0.0,
+    phi: ScalarField,
+    dphi_dt: ScalarField | None = None,
 ) -> float:
     """The instantaneous right-hand side of the phi-weighted energy balance.
 
     ``fe`` is ``dynamics.flow(state, model)``; its du/dt enters both the
     dissipation and the cross term.  The cross term pairs du_i/dt with
     X_i = ``grid.grad_dot_raw(phi, u_i)``, which makes this the exact time
-    derivative of ``mu_of_phi`` along the semi-discrete flow.
+    derivative of ``mu_of_phi`` along the semi-discrete flow; phi's
+    differences are its cached ``forward_differences``.  ``dphi_dt``, if
+    given, adds int d_t phi dmu.
     """
-    return _brakke_integrand(state, model, fe, phi_values, g._forward_differences(phi_values),
-                             dphi_dt_values)
-
-
-def _brakke_integrand(state, model, fe, phi_values, phi_diffs, dphi_dt_values=0.0) -> float:
-    """``brakke_rhs_integrand`` given ``phi_diffs = grid._forward_differences(phi_values)``,
-    which a static phi forms once for a whole run."""
     h, d = state.spec.h, state.spec.d
     eps = model.eps
     du = fe.rhs
     value = 0.0
-    dphi = np.asarray(dphi_dt_values)
-    if dphi.ndim > 0 or dphi != 0.0:
-        value += mu_of_phi(state, eps, dphi)
+    if dphi_dt is not None:
+        value += mu_of_phi(state, eps, dphi_dt.values)
     # Per-phase terms accumulate from zero in phase order, which is how
     # np.sum(., axis=0) adds a stack, so both sums are bitwise those.
     total = g._scratch(state.spec.shape, "plane_a")
@@ -327,11 +309,11 @@ def _brakke_integrand(state, model, fe, phi_values, phi_diffs, dphi_dt_values=0.
     total.fill(0.0)
     for i in range(state.n_phases):
         total += np.multiply(du[i], du[i], out=term)
-    total *= phi_values
+    total *= phi.values
     value -= SIGMA_INV * eps * g.integrate_raw(total, h, d)
     total.fill(0.0)
     for i in range(state.n_phases):
-        g._grad_dot_into(phi_values, phi_diffs, state.values[i], h, term)
+        g.grad_dot_raw(phi.values, state.values[i], h, out=term, a_diffs=phi.forward_differences)
         total += np.multiply(term, du[i], out=term)
     value -= SIGMA_INV * eps * g.integrate_raw(total, h, d)
     return value
@@ -373,19 +355,15 @@ def brakke_residual(
     phis = as_list(phi, "phi")
     dphis = as_list(dphi_dt, "dphi_dt")
     for f, df, st in zip(phis, dphis, run):
-        _check_test_function(f, st.spec)
+        check_test_function(f, st.spec)
         if df is not None and df.spec != st.spec:
             raise InputError(f"d_t phi lives on {df.spec}, the run on {st.spec}")
 
     lhs = np.empty(n_snap)
     integrand = np.empty(n_snap)
-    static = g._forward_differences(phi.values) if isinstance(phi, ScalarField) else None
     for k, st in enumerate(run):
-        pv = phis[k].values
-        lhs[k] = mu_of_phi(st, eps, pv)
-        dv = dphis[k].values if dphis[k] is not None else 0.0
-        diffs = static if static is not None else g._forward_differences(pv)
-        integrand[k] = _brakke_integrand(st, model, flow(st, model), pv, diffs, dv)
+        lhs[k] = mu_of_phi(st, eps, phis[k].values)
+        integrand[k] = brakke_rhs_integrand(st, model, flow(st, model), phis[k], dphis[k])
 
     rhs_int = 0.5 * dts * (integrand[:-1] + integrand[1:])
     return np.diff(lhs) - rhs_int

@@ -37,8 +37,8 @@ import numpy as np
 from . import grid as g
 from .dynamics import FlowEval, ModelSpec, PhaseField, constraint_violation, flow
 from .errors import InputError
-from .grid import VectorField
-from .potential import SIGMA, _double_well_into, _sqrt_double_well_into, double_well
+from .grid import ScalarField, VectorField
+from .potential import SIGMA_INV, _double_well_into, _sqrt_double_well_into, double_well
 
 __all__ = [
     "MeasureSample",
@@ -46,12 +46,11 @@ __all__ = [
     "energy_measure",
     "energy_bv_gap",
     "measure_sample",
+    "mu_of_phi",
     "first_variation",
     "mean_curvature_proxy",
     "measure_junction_angles",
 ]
-
-SIGMA_INV = 1.0 / SIGMA
 
 GRADIENT_FLOOR = 1e-12
 
@@ -70,6 +69,7 @@ class MeasureSample:
     phase_volumes: np.ndarray
     phase_sup: np.ndarray
     overshoot: float                   # max distance of any value outside [0, 1]
+    mu_phi: tuple[float, ...] = ()     # int phi dmu per test function asked for
 
 
 def energy_densities(
@@ -95,6 +95,17 @@ def energy_densities(
     return grad_sq, energy, discrepancy
 
 
+def mu_of_phi(state: PhaseField, eps: float, phi_values: np.ndarray) -> float:
+    """int phi d(mu_t) for a nonnegative test function sampled on the grid."""
+    return _phi_integrals(state, energy_densities(state, eps)[1], [phi_values])[0]
+
+
+def _phi_integrals(state: PhaseField, energy_dens: np.ndarray, phis: list) -> tuple[float, ...]:
+    """``mu_of_phi`` of each grid-sampled phi, from the stacked energy densities."""
+    energy = SIGMA_INV * sum(energy_dens) if phis else None
+    return tuple(g.integrate_raw(phi * energy, state.spec.h, state.spec.d) for phi in phis)
+
+
 def _integrate_phases(state: PhaseField, dens: np.ndarray) -> np.ndarray:
     """SIGMA^{-1} int dens_i dx for each phase."""
     h, d = state.spec.h, state.spec.d
@@ -111,7 +122,9 @@ def energy_bv_gap(sample: MeasureSample) -> float:
     return sample.energy_total - float(np.sum(sample.bv_proxy_per_phase))
 
 
-def measure_sample(state: PhaseField, model: ModelSpec) -> MeasureSample:
+def measure_sample(
+    state: PhaseField, model: ModelSpec, phis: tuple[ScalarField, ...] = ()
+) -> MeasureSample:
     """All scalar diagnostics that depend on the state alone, in one record.
 
     It evaluates no flow: the dissipation rate is the ``rate`` of
@@ -119,16 +132,12 @@ def measure_sample(state: PhaseField, model: ModelSpec) -> MeasureSample:
     The BV proxy of phase i integrates SIGMA^{-1} |grad u_i| sqrt(2 W(u_i)),
     the total variation of G(u_i) by chain rule; |grad u_i| is the square
     root of the energy's gradient density, so AM-GM, eps a^2/2 + W/eps >=
-    a sqrt(2W), gives bv_i <= energy_i cell by cell.
+    a sqrt(2W), gives bv_i <= energy_i cell by cell.  ``mu_phi`` is
+    ``mu_of_phi`` of each test function in ``phis``, from the same densities.
     """
-    return _measure_sample(state, model, energy_densities(state, model.eps))
-
-
-def _measure_sample(state: PhaseField, model: ModelSpec, densities) -> MeasureSample:
-    """``measure_sample`` from the state's ``energy_densities(state, model.eps)``."""
     h, d = state.spec.h, state.spec.d
     u = state.values
-    grad_sq, energy_dens, disc_dens = densities
+    grad_sq, energy_dens, disc_dens = energy_densities(state, model.eps)
     energy = _integrate_phases(state, energy_dens)
     # |disc_i| and |grad u_i| sqrt(2 W(u_i)), each formed in plane scratch.
     a, b = (g._scratch(state.spec.shape, slot) for slot in ("plane_a", "plane_b"))
@@ -148,6 +157,7 @@ def _measure_sample(state: PhaseField, model: ModelSpec, densities) -> MeasureSa
         phase_volumes=np.array([g.integrate_raw(phase, h, d) for phase in u]),
         phase_sup=np.max(u.reshape(state.n_phases, -1), axis=1),
         overshoot=float(max(0.0, np.max(u) - 1.0, -np.min(u))),
+        mu_phi=_phi_integrals(state, energy_dens, [phi.values for phi in phis]),
     )
 
 

@@ -59,7 +59,7 @@ from .errors import (
 )
 from .grid import GridSpec
 from .potential import (
-    SIGMA,
+    SIGMA_INV,
     _double_well_prime_into,
     _sqrt_double_well_into,
     _well_primitive_into,
@@ -80,7 +80,6 @@ __all__ = [
     "max_neighbor_jump",
 ]
 
-SIGMA_INV = 1.0 / SIGMA
 # Time-stepping schemes that ``advance`` implements.
 SCHEMES = ("IMEX", "ExplicitEuler")
 # Newton steps of the weighted-square projection at most this long count as converged.
@@ -381,8 +380,10 @@ def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 
     it starts from 0.  Where a step is not finite or leaves the bracket the
     midpoint is taken.  A pass evaluates k and g once on u + t, grid shaped
     with temporaries in per-thread scratch; a cell takes each pass's new t
-    until its step is within ``_SHIFT_TOL``, then freezes, still evaluated but
-    ignored.  A converged shift beyond the cap raises "bracket failure".
+    until its step is within ``_SHIFT_TOL`` or lands exactly on the other end
+    of its bracket (Newton cycling where f is flat at rounding level), then
+    freezes, still evaluated but ignored.  A converged shift beyond the cap
+    raises "bracket failure".
     Cells on the manifold (|f(0)| <= 1e-13) keep t = 0 exactly: near wells
     floating point flattens f, so a root search would wander off.
     """
@@ -425,6 +426,8 @@ def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 
         np.multiply(np.add(lo, hi, out=tmp), 0.5, out=tmp)
         np.copyto(new, tmp, where=np.logical_not(mask, out=mask))
         np.less_equal(np.abs(np.subtract(new, t, out=tmp), out=tmp), _SHIFT_TOL, out=done)
+        done |= np.equal(new, lo, out=mask)
+        done |= np.equal(new, hi, out=mask)
         np.copyto(t, new, where=active)
         active &= np.logical_not(done, out=done)
         if not active.any():

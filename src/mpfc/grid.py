@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,16 @@ class ScalarField:
     def constant(cls, spec: GridSpec, value: float) -> "ScalarField":
         return cls(spec, np.full(spec.shape, float(value)))
 
+    @cached_property
+    def forward_differences(self) -> tuple[np.ndarray, ...]:
+        """values[j+1] - values[j] per axis, formed on first use and frozen like the values."""
+        a = self.values
+        diffs = tuple(_periodic_pair(np.subtract, a, 1, a, 0, ax, np.empty(a.shape))
+                      for ax in range(a.ndim))
+        for diff in diffs:
+            diff.flags.writeable = False
+        return diffs
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -125,8 +136,7 @@ class VectorField:
         object.__setattr__(self, "values", _frozen_array(self.values, shape))
 
 
-# Raw-array kernels.  The axes of a scalar array are the grid axes; stacked
-# arrays (N phases first) pass axis_offset=1 to ``laplacian_raw``.
+# Raw-array kernels.  The axes of a scalar array are the grid axes.
 
 
 def torus_delta(x: np.ndarray, c) -> np.ndarray:
@@ -184,26 +194,23 @@ def _scratch(shape: tuple[int, ...], slot: str, dtype=np.float64) -> np.ndarray:
     return buf
 
 
-def laplacian_raw(
-    a: np.ndarray, h: float, axis_offset: int = 0, out: np.ndarray | None = None
-) -> np.ndarray:
+def laplacian_raw(a: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over axes of (a[j+1] + a[j-1]), minus 2d a, over h^2, written to ``out``.
 
     The neighbour sums accumulate onto the first axis's in axis order, then
     2d a is subtracted and h^2 divided out; tests pin this order bitwise.
     ``out``, if given, is a C-contiguous float64 array of ``a``'s shape.
     """
-    d = a.ndim - axis_offset
     if out is None:
         out = np.empty(a.shape)
     elif not (out.flags.c_contiguous and out.shape == a.shape):
         raise ValueError("laplacian_raw needs a C-contiguous out of the input's shape")
     pair = _scratch(a.shape, "laplacian")
-    _periodic_pair(np.add, a, 1, a, -1, axis_offset, out)
-    for ax in range(axis_offset + 1, a.ndim):
+    _periodic_pair(np.add, a, 1, a, -1, 0, out)
+    for ax in range(1, a.ndim):
         _periodic_pair(np.add, a, 1, a, -1, ax, pair)
         out += pair
-    np.multiply(a, 2.0 * d, out=pair)
+    np.multiply(a, 2.0 * a.ndim, out=pair)
     out -= pair
     out /= h * h
     return out
@@ -221,7 +228,8 @@ def gradient_raw(a: np.ndarray, h: float) -> list[np.ndarray]:
 
 
 def grad_dot_raw(
-    a: np.ndarray, b: np.ndarray, h: float, out: np.ndarray | None = None
+    a: np.ndarray, b: np.ndarray, h: float, out: np.ndarray | None = None,
+    a_diffs: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Node density sum_ax (D+a D+b + D-a D-b) / 2 of two same-shape scalar arrays.
 
@@ -229,24 +237,14 @@ def grad_dot_raw(
     product at node j is p at j-1, so each node averages its two edges.
     ``out``, if given, is a C-contiguous float64 array of ``a``'s shape; it is
     zeroed and accumulated into, as a fresh result would be.  With ``b is a``
-    each difference is formed once and squared in place.
+    each difference is formed once and squared in place.  ``a_diffs``, if
+    given, are a's forward differences a[j+1] - a[j] per axis (a test
+    function's ``ScalarField.forward_differences``), read instead of formed.
     """
     if out is None:
         out = np.empty(a.shape)
     elif not (out.flags.c_contiguous and out.shape == a.shape):
         raise ValueError("grad_dot_raw needs a C-contiguous out of the input's shape")
-    return _grad_dot_into(a, None, b, h, out)
-
-
-def _forward_differences(a: np.ndarray) -> list[np.ndarray]:
-    """a[j+1] - a[j] along each axis, fresh: ``_grad_dot_into``'s ``a_diffs``."""
-    return [_periodic_pair(np.subtract, a, 1, a, 0, ax, np.empty(a.shape)) for ax in range(a.ndim)]
-
-
-def _grad_dot_into(a: np.ndarray, a_diffs: list[np.ndarray] | None, b: np.ndarray, h: float,
-                   out: np.ndarray) -> np.ndarray:
-    """``grad_dot_raw(a, b, h, out)``, reading a's differences from ``a_diffs``
-    where given (a field fixed over many calls), with the same operations."""
     out.fill(0.0)
     p, q = _scratch(a.shape, "grad_dot_p"), _scratch(a.shape, "grad_dot_q")
     for ax in range(out.ndim):
@@ -299,8 +297,11 @@ def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec,
     """Solve (a*I - b*Lap_h) x = rhs on the torus; axes before the last ``spec.d`` stack fields.
 
     The solve diagonalizes the exact stencil symbol by FFT, so the operator
-    being inverted is identical to ``laplacian_raw``.  The residual contract
-    ``max|a x - b Lap x - rhs| <= 1e-10 max|rhs|`` is verified on every call.
+    being inverted is identical to ``laplacian_raw``.  For a finite ``rhs``
+    every call checks ``max|a x - b Lap x - rhs| <= 1e-10 max|rhs|`` and
+    raises ``SolverFailureError`` where it fails.  A NaN or inf in ``rhs``
+    gives a non-finite x and a NaN residual, which fails no comparison: x is
+    returned, and ``dynamics.advance`` reports it as ``BlowUpError``.
     ``out``, if given, is a caller-owned C-contiguous float64 array of
     ``rhs``'s shape that receives x; it is not scratch, and x is ``out``.
     """

@@ -26,6 +26,7 @@ from .errors import InputError
 
 __all__ = [
     "SIGMA",
+    "SIGMA_INV",
     "double_well",
     "double_well_prime",
     "sqrt_double_well",
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 SIGMA = 1.0 / 6.0
+SIGMA_INV = 1.0 / SIGMA
 
 
 def double_well(s):

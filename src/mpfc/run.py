@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import grid as g
-from .analysis import _brakke_integrand, _check_test_function, _mu_of_phi
-from .diagnostics import MeasureSample, _measure_sample, energy_densities
+from .analysis import brakke_rhs_integrand, check_test_function
+from .diagnostics import MeasureSample, measure_sample
 from .dynamics import PhaseField, advance, check_scheme, flow, max_neighbor_jump
 from .errors import BlowUpError, ProjectionError, ScenarioError
 from .grid import ScalarField
@@ -116,9 +116,9 @@ def run_simulation(
     for name, (phi, dphi_dt) in phis.items():
         if dphi_dt is not None:
             raise ValueError(f"Brakke series {name!r}: phi is static, so d_t phi must be None")
-        _check_test_function(phi, scenario.grid)
-    phi_vals = [phi.values for phi, _ in phis.values()]
-    phi_diffs = [g._forward_differences(pv) for pv in phi_vals]  # phi is static
+        check_test_function(phi, scenario.grid)
+        phi.forward_differences  # formed before the state: allocation order moves step times
+    phi_fields = tuple(phi for phi, _ in phis.values())
 
     model = scenario.model
     state = first = last = build_scenario(scenario)
@@ -144,7 +144,7 @@ def run_simulation(
     # Series columns: "one" (integrand -rate, int phi dmu = the total energy),
     # then one per test function.  ``cum`` is the running trapezoid.
     rates, mu_rows, cum_rows, holder_ratios = [], [], [], []
-    cum, prev = [0.0] * (1 + len(phi_vals)), None
+    cum, prev = [0.0] * (1 + len(phi_fields)), None
 
     def l1_distance(a: PhaseField, b: PhaseField) -> float:
         return max(
@@ -157,22 +157,17 @@ def run_simulation(
     try:
         for step_index in range(n_steps + 1):
             fe = flow(state, model)
-            row = [-fe.rate] + [_brakke_integrand(state, model, fe, pv, diffs)
-                                for pv, diffs in zip(phi_vals, phi_diffs)]
+            row = [-fe.rate] + [brakke_rhs_integrand(state, model, fe, phi) for phi in phi_fields]
             if prev is not None:
                 cum = [c + dt * 0.5 * (p + i) for c, p, i in zip(cum, prev, row)]
             prev = row
 
             if step_index in sample_set:
-                # One pass of the energy densities serves the sample and every series.
-                densities = energy_densities(state, model.eps)
-                sample = _measure_sample(state, model, densities)
+                sample = measure_sample(state, model, phi_fields)
                 samples.append(sample)
                 rates.append(fe.rate)
-                mu_rows.append([sample.energy_total]
-                               + [_mu_of_phi(state, densities[1], pv) for pv in phi_vals])
+                mu_rows.append([sample.energy_total, *sample.mu_phi])
                 cum_rows.append(cum)
-                del densities
                 if states is not None:
                     states.append(state)
                 if out_path is not None:

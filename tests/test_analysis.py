@@ -249,9 +249,10 @@ class TestMonotonicityCheck:
 
 class TestBrakkeResidual:
     def test_static_phi_series_equals_the_public_integrand(self):
-        # One static field is differenced once for the whole run, a field per
-        # snapshot once per snapshot; both must give the series formed from
-        # mu_of_phi and brakke_rhs_integrand, bit for bit.
+        # A field keeps its differences once formed, so a static field is
+        # differenced once for the whole run and a field per snapshot once per
+        # snapshot; all must give the series formed from mu_of_phi and
+        # brakke_rhs_integrand, bit for bit.
         spec = GridSpec(2, 64)
         model = ModelSpec(ModelKind.SPHERE_LL, 4.0 / 64, 3)
         scenario = Scenario(geometry=Disk(radius=0.25), model=model, grid=spec, dt=spec.h**2,
@@ -260,14 +261,15 @@ class TestBrakkeResidual:
         phi = bump_field(spec, center=(0.4, 0.5))
         lhs = np.array([mu_of_phi(st, model.eps, phi.values) for st in states])
         integrand = np.array(
-            [brakke_rhs_integrand(st, model, flow(st, model), phi.values) for st in states]
+            [brakke_rhs_integrand(st, model, flow(st, model), phi) for st in states]
         )
         assert integrand.tolist() == [
             written_out_brakke_integrand(st, model, flow(st, model), phi.values) for st in states
         ]
         dts = np.diff([st.time for st in states])
         want = np.diff(lhs) - 0.5 * dts * (integrand[:-1] + integrand[1:])
-        for field in (phi, [phi] * len(states)):
+        copies = [ScalarField(spec, phi.values) for _ in states]
+        for field in (phi, [phi] * len(states), copies):
             assert brakke_residual(states, model.eps, model, field).tobytes() == want.tobytes()
 
     def test_equilibrium_run_has_zero_residual(self):
@@ -385,7 +387,7 @@ class TestBrakkeResidual:
         lhs = np.array([ck * mu_of_phi(st, model.eps, psi.values) for ck, st in zip(c, states)])
         integrand = np.array([
             dck * mu_of_phi(st, model.eps, psi.values)
-            + ck * brakke_rhs_integrand(st, model, flow(st, model), psi.values)
+            + ck * brakke_rhs_integrand(st, model, flow(st, model), psi)
             for ck, dck, st in zip(c, dc, states)
         ])
         expected = np.diff(lhs) - 0.5 * np.diff(times) * (integrand[:-1] + integrand[1:])
@@ -490,7 +492,7 @@ class TestDiscreteVariationalIdentity:
         def bwd(a, ax):
             return (a - np.roll(a, 1, axis=ax)) / h
 
-        mu = -eps * laplacian_raw(u, h, axis_offset=1) + double_well_prime(u) / eps
+        mu = -eps * np.stack([laplacian_raw(ui, h) for ui in u]) + double_well_prime(u) / eps
         X = np.stack([
             sum(0.5 * (fwd(phi, ax) * fwd(ui, ax) + bwd(phi, ax) * bwd(ui, ax)) for ax in range(2))
             for ui in u

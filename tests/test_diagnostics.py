@@ -25,10 +25,15 @@ from mpfc.diagnostics import (
 )
 from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, flow, project_constraint
 from mpfc.errors import InputError
-from mpfc.grid import GridSpec, grad_dot_raw, integrate_raw
+from mpfc.grid import GridSpec, ScalarField, grad_dot_raw, integrate_raw
 from mpfc.potential import SIGMA, double_well, sqrt_double_well
 from mpfc.scenarios import TripleJunction
-from mpfc.testfields import constant_vector_field, radial_vector_field, random_smooth_vector_field
+from mpfc.testfields import (
+    bump_field,
+    constant_vector_field,
+    radial_vector_field,
+    random_smooth_vector_field,
+)
 
 
 def pure_state(spec, pattern):
@@ -182,6 +187,17 @@ class TestMeasureSample:
         assert sample.discrepancy_abs == float(np.sum(absolute))
         assert np.all(sample.bv_proxy_per_phase == bv)
 
+    def test_mu_phi_is_mu_of_phi_per_test_function(self):
+        # The sample's int phi dmu comes from its own pass over the densities;
+        # it is mu_of_phi's, bit for bit, and empty when no phi is given.
+        eps = 1.0 / 16.0
+        state = random_smooth_state(GridSpec(2, 64), 3, seed=7)
+        model = ModelSpec(ModelKind.MEAN_SHIFT, eps, 3)
+        phis = (bump_field(state.spec), ScalarField.constant(state.spec, 2.0))
+        sample = measure_sample(state, model, phis)
+        assert sample.mu_phi == tuple(mu_of_phi(state, eps, phi.values) for phi in phis)
+        assert measure_sample(state, model).mu_phi == ()
+
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_evaluates_no_flow(self, kind, monkeypatch):
@@ -333,7 +349,7 @@ class TestFirstVariation:
 
         h, d = state.spec.h, state.spec.d
         eps = model.eps
-        mu = -eps * laplacian_raw(state.values, h, axis_offset=1) + double_well_prime(
+        mu = -eps * np.stack([laplacian_raw(ui, h) for ui in state.values]) + double_well_prime(
             state.values
         ) / eps
         lam = np.sum(state.values * mu, axis=0)

@@ -38,13 +38,13 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("kind, n_phases", [(ModelKind.MEAN_SHIFT, 2), (ModelKind.SPHERE_LL, 3)])
     def test_streamed_brakke_series_equals_the_public_integrand(self, kind, n_phases):
-        # The run differences its static phi once; the integrand of every
-        # step must still be brakke_rhs_integrand's, bit for bit.
+        # The streamed series is the step trapezoid of brakke_rhs_integrand,
+        # which matches the written-out integrand, bit for bit.
         scn = disk_scenario(t_end=12 * (1.0 / 128) ** 2, kind=kind, n_phases=n_phases,
                             snapshot_every=1, projection="off")
         phi = bump_field(scn.grid, center=(0.45, 0.5))
         rec = run_simulation(scn, keep_states=True, brakke_phis={"bump": (phi, None)})
-        integrand = [brakke_rhs_integrand(st, scn.model, flow(st, scn.model), phi.values)
+        integrand = [brakke_rhs_integrand(st, scn.model, flow(st, scn.model), phi)
                      for st in rec.states]
         assert integrand == [written_out_brakke_integrand(st, scn.model, flow(st, scn.model),
                                                           phi.values) for st in rec.states]
