@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
-from .diagnostics import energy_densities, mu_of_phi
+from .diagnostics import _phi_integrals, energy_densities, mu_of_phi
 from .dynamics import FlowEval, ModelKind, ModelSpec, PhaseField, flow
 from .errors import InputError
 from .grid import GridSpec, ScalarField
@@ -150,12 +150,6 @@ def kernel_field(
     return rho, grad
 
 
-def _densities(state: PhaseField, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """SIGMA^{-1} sum_i of the energy and signed discrepancy densities, from one pass."""
-    _, energy, discrepancy = energy_densities(state, eps)
-    return SIGMA_INV * sum(energy), SIGMA_INV * sum(discrepancy)
-
-
 def gaussian_density(state: PhaseField, eps: float, spec: KernelSpec) -> float:
     """int rho(., t) d(mu_t) at the state's own time."""
     return mu_of_phi(state, eps, kernel_field(state.spec, state.time, spec)[0])
@@ -235,10 +229,9 @@ def monotonicity_check(
     scale = np.empty(len(run)) if sphere else None
     for k, st in enumerate(run):
         rho, grad_rho = kernel_field(st.spec, st.time, spec, with_gradient=sphere)
-        energy, discrepancy = _densities(st, eps)
-        G[k] = g.integrate_raw(rho * energy, st.spec.h, st.spec.d)
-        tau = spec.terminal_s - st.time
-        bound[k] = g.integrate_raw(rho * discrepancy, st.spec.h, st.spec.d) / (2.0 * tau)
+        _, energy, discrepancy = energy_densities(st, eps)
+        G[k] = _phi_integrals(st, energy, [rho])[0]
+        bound[k] = _phi_integrals(st, discrepancy, [rho])[0] / (2.0 * (spec.terminal_s - st.time))
         if sphere:
             cancel[k], scale[k] = _multiplier_terms(st, flow(st, model), rho, grad_rho)
 
@@ -332,7 +325,9 @@ def brakke_residual(
     int phi d(mu_t) and the right side is the trapezoid-in-time integral of
     ``brakke_rhs_integrand`` with du/dt from one ``flow`` per snapshot.  A
     static phi may be passed once; a space-time phi as per-snapshot fields
-    together with its time derivative.
+    together with its time derivative; each of those fields drops the
+    differences ``brakke_rhs_integrand`` caches on it once its snapshot is done,
+    so a held list does not keep them alive.
     """
     if len(run) < 2:
         raise InputError("brakke_residual needs at least 2 snapshots")
@@ -364,6 +359,8 @@ def brakke_residual(
     for k, st in enumerate(run):
         lhs[k] = mu_of_phi(st, eps, phis[k].values)
         integrand[k] = brakke_rhs_integrand(st, model, flow(st, model), phis[k], dphis[k])
+        if not isinstance(phi, ScalarField):
+            vars(phis[k]).pop("forward_differences", None)
 
     rhs_int = 0.5 * dts * (integrand[:-1] + integrand[1:])
     return np.diff(lhs) - rhs_int

@@ -100,10 +100,11 @@ def mu_of_phi(state: PhaseField, eps: float, phi_values: np.ndarray) -> float:
     return _phi_integrals(state, energy_densities(state, eps)[1], [phi_values])[0]
 
 
-def _phi_integrals(state: PhaseField, energy_dens: np.ndarray, phis: list) -> tuple[float, ...]:
-    """``mu_of_phi`` of each grid-sampled phi, from the stacked energy densities."""
-    energy = SIGMA_INV * sum(energy_dens) if phis else None
-    return tuple(g.integrate_raw(phi * energy, state.spec.h, state.spec.d) for phi in phis)
+def _phi_integrals(state: PhaseField, dens: np.ndarray, phis: list) -> tuple[float, ...]:
+    """SIGMA^{-1} int phi sum_i dens_i dx for each grid-sampled phi: ``mu_of_phi``
+    from the stacked energy densities, int phi d(xi_t) from the discrepancy ones."""
+    total = SIGMA_INV * sum(dens) if phis else None
+    return tuple(g.integrate_raw(phi * total, state.spec.h, state.spec.d) for phi in phis)
 
 
 def _integrate_phases(state: PhaseField, dens: np.ndarray) -> np.ndarray:

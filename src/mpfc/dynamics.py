@@ -26,8 +26,8 @@ other N the same equations are integrated but the sphere reading is formal.
 Quotient multipliers degenerate where every phase sits in a well.  Cells whose
 denominator falls below ``_DENOM_FLOOR`` get multiplier zero; this is
 consistent with the formal limit because the coupling carries another factor
-of g that vanishes at the same order.  The floored cell fraction is reported
-so runs can detect over-flooring.
+of g that vanishes at the same order.  The floored cell fraction is returned
+in ``FlowEval.floored_fraction``; no run records it yet.
 
 MeanShift's IMEX step solves N - 1 phases: its multiplier keeps sum_j u_j
 fixed pointwise, on or off the manifold, so the last phase is the old sum
@@ -76,17 +76,19 @@ __all__ = [
     "advance",
     "project_constraint",
     "constraint_violation",
-    "explicit_dt_limit",
     "max_neighbor_jump",
 ]
 
 # Time-stepping schemes that ``advance`` implements.
-SCHEMES = ("IMEX", "ExplicitEuler")
+SCHEMES = ("IMEX",)
 # Newton steps of the weighted-square projection at most this long count as converged.
 _SHIFT_TOL = 1e-12
 # Its root search reaches shifts up to this size; a root further out is a
 # bracket failure.
 _SHIFT_CAP = 1024.0
+# A cell still moving by more than the tolerance after this many Newton steps
+# fails the projection.
+_SHIFT_MAX_ITER = 60
 # Quotient multipliers are zero where their denominator is below this.
 _DENOM_FLOOR = 1e-10
 
@@ -278,12 +280,6 @@ def dissipation_rate(state: PhaseField, model: ModelSpec) -> float:
     return flow(state, model).rate
 
 
-def explicit_dt_limit(spec: GridSpec, eps: float) -> float:
-    """Stability policy for the explicit scheme: dt <= min(h^2/(4d), eps^2/10)."""
-    h = spec.h
-    return min(h * h / (4.0 * spec.d), eps * eps / 10.0)
-
-
 def max_neighbor_jump(state: PhaseField) -> float:
     """Largest |u_i(x+h e_a) - u_i(x)| over phases, axes, and cells."""
     u = state.values
@@ -295,20 +291,6 @@ def max_neighbor_jump(state: PhaseField) -> float:
     return worst
 
 
-def check_scheme(spec: GridSpec, model: ModelSpec, dt: float, scheme: str) -> None:
-    """Validate scheme name and the explicit stability policy before stepping."""
-    if not dt > 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
-    if scheme == "ExplicitEuler":
-        limit = explicit_dt_limit(spec, model.eps)
-        if dt > limit * (1.0 + 1e-12):
-            raise ConfigurationError(
-                f"ExplicitEuler stability policy requires dt <= {limit:.6e}, got {dt:.6e}"
-            )
-
-
 def advance(
     state: PhaseField,
     model: ModelSpec,
@@ -317,16 +299,15 @@ def advance(
     fe: FlowEval,
     project: bool = False,
 ) -> PhaseField:
-    """Advance one time step of the chosen scheme, given ``fe = flow(state, model)``.
+    """Advance one IMEX time step, given ``fe = flow(state, model)``.
 
-    ``ExplicitEuler`` advances with the full right-hand side and enforces the
-    stability policy ``dt <= min(h^2/(4d), eps^2/10)`` before stepping.
-    ``IMEX`` treats the Laplacian implicitly through the Helmholtz solve
-    (a=1, b=dt) and the potential/multiplier terms explicitly.  With
-    ``project=True`` the model's constraint projection is applied to the
-    result.  The step's result is scanned once for non-finite values, which
-    raise BlowUpError; the projection maps that finite state to a finite one
-    (see ``project_constraint``), so its result is not scanned again.
+    The Laplacian is treated implicitly through the Helmholtz solve (a=1,
+    b=dt) and the potential/multiplier terms explicitly; ``scheme`` must name
+    it, and ``dt`` must be positive.  With ``project=True`` the model's
+    constraint projection is applied to the result.  The step's result is
+    scanned once for non-finite values, which raise BlowUpError; the
+    projection maps that finite state to a finite one (see
+    ``project_constraint``), so its result is not scanned again.
 
     MeanShift's IMEX step solves phases 0..N-2 and sets the last to S minus
     them, S = sum_i u_i of the old state.  This is exact off the manifold too:
@@ -336,27 +317,26 @@ def advance(
     phases' (each checked by the solve) plus round-off.  WeightedSum does not
     qualify: its multiplier is zero in floored cells, where sum_i du_i is not.
     """
-    check_scheme(state.spec, model, dt, scheme)
+    if not dt > 0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
     u = state.values
-    if scheme == "ExplicitEuler":
-        new = np.multiply(dt, fe.rhs)
-        new += u
-    else:
-        # u + dt (rhs - lap) for the m solved phases, formed in scratch.
-        m = u.shape[0] - (model.kind == ModelKind.MEAN_SHIFT)
-        imex_rhs = g._scratch(u.shape, "stack_a")[:m]
-        for out, rhs_i, lap_i, phase in zip(imex_rhs, fe.rhs, fe.lap, u):
-            np.subtract(rhs_i, lap_i, out=out)
-            out *= dt
-            out += phase
-        new = np.empty(u.shape)
-        g.helmholtz_solve_raw(imex_rhs, 1.0, dt, state.spec, out=new[:m])
-        if m < u.shape[0]:  # the last phase is S minus the solved ones
-            last = np.add(u[0], u[1], out=new[-1])
-            for phase in u[2:]:
-                last += phase
-            for phase in new[:-1]:
-                last -= phase
+    # u + dt (rhs - lap) for the m solved phases, formed in scratch.
+    m = u.shape[0] - (model.kind == ModelKind.MEAN_SHIFT)
+    imex_rhs = g._scratch(u.shape, "stack_a")[:m]
+    for out, rhs_i, lap_i, phase in zip(imex_rhs, fe.rhs, fe.lap, u):
+        np.subtract(rhs_i, lap_i, out=out)
+        out *= dt
+        out += phase
+    new = np.empty(u.shape)
+    g.helmholtz_solve_raw(imex_rhs, 1.0, dt, state.spec, out=new[:m])
+    if m < u.shape[0]:  # the last phase is S minus the solved ones
+        last = np.add(u[0], u[1], out=new[-1])
+        for phase in u[2:]:
+            last += phase
+        for phase in new[:-1]:
+            last -= phase
     try:
         out = PhaseField(state.spec, new, state.time + dt)
     except ValueError as exc:  # non-finite entries; the shape is the state's
@@ -366,7 +346,7 @@ def advance(
     return out
 
 
-def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 60) -> np.ndarray:
+def _project_weighted_square(u: np.ndarray, defect: np.ndarray) -> np.ndarray:
     """Per-cell scalar shift t with f(t) = sum_i k(u_i + t) - 1/6 = 0, by
     safeguarded Newton on f itself (rtsafe, Numerical Recipes 9.4).
 
@@ -410,7 +390,7 @@ def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 
     mask &= np.less_equal(t, hi, out=done)
     mask &= active
     np.copyto(t, 0.0, where=np.logical_not(mask, out=mask))
-    for _ in range(max_iter):
+    for _ in range(_SHIFT_MAX_ITER):
         for phase, shifted in zip(u, v):
             np.add(phase, t, out=shifted)
         _primitive_defect(v, f)
@@ -435,7 +415,7 @@ def _project_weighted_square(u: np.ndarray, defect: np.ndarray, max_iter: int = 
     else:
         raise ProjectionError(
             f"weighted-square Newton iteration did not reach tol={_SHIFT_TOL} "
-            f"in {max_iter} iterations"
+            f"in {_SHIFT_MAX_ITER} iterations"
         )
     if np.max(np.abs(t, out=tmp)) > _SHIFT_CAP:
         raise ProjectionError("bracket failure in weighted-square projection")

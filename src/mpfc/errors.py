@@ -20,7 +20,7 @@ class MpfcError(Exception):
 
 
 class ConfigurationError(MpfcError):
-    """Invalid run configuration (bad parameters, CFL violation, unknown keys)."""
+    """Invalid run configuration (bad parameters, unknown keys)."""
 
 
 class SolverFailureError(MpfcError):

@@ -32,7 +32,7 @@ import numpy as np
 from . import grid as g
 from .analysis import brakke_rhs_integrand, check_test_function
 from .diagnostics import MeasureSample, measure_sample
-from .dynamics import PhaseField, advance, check_scheme, flow, max_neighbor_jump
+from .dynamics import PhaseField, advance, flow, max_neighbor_jump
 from .errors import BlowUpError, ProjectionError, ScenarioError
 from .grid import ScalarField
 from .scenarios import Scenario, build_scenario
@@ -122,7 +122,6 @@ def run_simulation(
 
     model = scenario.model
     state = first = last = build_scenario(scenario)
-    check_scheme(scenario.grid, model, scenario.dt, scenario.scheme)
     jump = max_neighbor_jump(state)
     if jump > 0.5:
         raise ScenarioError(

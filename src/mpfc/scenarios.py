@@ -326,7 +326,8 @@ def build_scenario(scenario: Scenario) -> PhaseField:
     model's conservation law to projection accuracy.  For the two-region
     geometries with a sum-type constraint the initial energy is verified to
     be within 10% of twice the sharp interface length; the sphere model has a
-    different (smaller) layer energy and is not held to that count.
+    slightly larger layer energy (a relaxed 2.006 per unit length against 2)
+    and is not held to that count.
     """
     geom = scenario.geometry
     model = scenario.model

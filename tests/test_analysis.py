@@ -1,6 +1,7 @@
 """Backward heat kernel, Gaussian density, monotonicity, weighted balance."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,32 @@ class TestBrakkeResidual:
         expected = np.diff(lhs) - 0.5 * np.diff(times) * (integrand[:-1] + integrand[1:])
         assert np.all(np.abs(dc * mu_of_phi(states[0], model.eps, psi.values)) > 0.0)
         assert np.max(np.abs(res - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_per_snapshot_fields_drop_their_differences(self):
+        # A list of per-snapshot fields is differenced once per snapshot, and
+        # the differences must not outlive the call while the caller holds the
+        # list; a static phi passed once keeps them for the next call.
+        n = 64
+        spec = GridSpec(2, n)
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 4.0 / n, 2)
+        scn = Scenario(geometry=Disk(radius=0.3), model=model, grid=spec,
+                       dt=spec.h**2, t_end=32 * spec.h**2, snapshot_every=4)
+        states = run_simulation(scn, keep_states=True).states
+        assert len(states) == 9
+        psi = bump_field(spec)
+        brakke_residual(states, model.eps, model, psi)  # warms the scratch slots
+        assert "forward_differences" in vars(psi)
+        phis = [ScalarField(spec, psi.values) for _ in states]
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            res = brakke_residual(states, model.eps, model, phis)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained - base < 8 * n * n  # less than one grid array
+        assert not any("forward_differences" in vars(phi) for phi in phis)
+        assert res.tobytes() == brakke_residual(states, model.eps, model, psi).tobytes()
 
     def test_space_time_phi_list_length_must_match(self):
         spec = GridSpec(2, 32)

@@ -123,6 +123,16 @@ class TestSubcommands:
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_simulate_explicit_euler_scheme_exit_2(self, tmp_path, capsys):
+        # IMEX is the one scheme; a former scheme name is a config error even
+        # at a dt the old explicit stability policy allowed.
+        cfg = write_config(tmp_path, "scheme = ExplicitEuler\nn = 64\neps = 0.0625\n"
+                                     "dt = 1e-5\nt_end = 2e-5\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "unknown scheme 'ExplicitEuler'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_simulate_unknown_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "\nbogus = 2\n")
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -27,7 +27,6 @@ from mpfc.dynamics import (
     constraint_values,
     constraint_violation,
     dissipation_rate,
-    explicit_dt_limit,
     flow,
     max_neighbor_jump,
     project_constraint,
@@ -164,20 +163,22 @@ class TestStep:
     def test_equilibrium_fixed_point(self, spec64):
         model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
         state = wells_state(spec64, (1.0, 0.0))
-        for scheme in ("IMEX", "ExplicitEuler"):
-            dt = explicit_dt_limit(spec64, model.eps)
-            fe = flow(state, model)
-            new = advance(state, model, dt, scheme, fe)
-            assert np.max(np.abs(new.values - state.values)) < 1e-13
-            assert fe.rate == 0.0
+        fe = flow(state, model)
+        new = advance(state, model, (1.0 / 64) ** 2 / 8, "IMEX", fe)
+        assert np.max(np.abs(new.values - state.values)) < 1e-13
+        assert fe.rate == 0.0
 
     def test_symmetric_half_state_is_stationary(self, spec64):
         model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
         state = wells_state(spec64, (0.5, 0.5))
-        new = advance(state, model, 1e-5, "ExplicitEuler", flow(state, model))
+        fe = flow(state, model)
+        assert np.array_equal(fe.rhs, np.zeros_like(state.values))
+        new = advance(state, model, 1e-5, "IMEX", fe)
         assert np.array_equal(new.values, state.values)
 
     def test_imex_vs_euler_local_difference_is_second_order(self):
+        # One IMEX step against the forward-Euler step u + dt du/dt from the
+        # same flow: they differ by dt^2 (Lap du/dt) + O(dt^3).
         eps = 1.0 / 16.0
         state = disk_state(128, eps)
         model = ModelSpec(ModelKind.MEAN_SHIFT, eps, 2)
@@ -185,16 +186,9 @@ class TestStep:
         diffs = []
         for dt in (2e-6, 1e-6):
             a = advance(state, model, dt, "IMEX", fe).values
-            b = advance(state, model, dt, "ExplicitEuler", fe).values
+            b = state.values + dt * fe.rhs
             diffs.append(np.max(np.abs(a - b)))
         assert 3.0 <= diffs[0] / diffs[1] <= 5.0
-
-    def test_explicit_cfl_policy_enforced(self, spec64):
-        model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
-        state = wells_state(spec64, (1.0, 0.0))
-        limit = explicit_dt_limit(spec64, model.eps)
-        with pytest.raises(ConfigurationError):
-            advance(state, model, 2 * limit, "ExplicitEuler", flow(state, model))
 
     def test_bad_inputs(self, spec64):
         model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
@@ -207,10 +201,9 @@ class TestStep:
     def test_blow_up_detected(self, spec64):
         model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
         huge = wells_state(spec64, (1e200, 1.0 - 1e200))
-        for scheme in ("ExplicitEuler", "IMEX"):
-            with pytest.raises(BlowUpError, match="non-finite values after step") as info:
-                advance(huge, model, 1e-8, scheme, flow(huge, model))
-            assert info.value.time == 1e-8
+        with pytest.raises(BlowUpError, match="non-finite values after step") as info:
+            advance(huge, model, 1e-8, "IMEX", flow(huge, model))
+        assert info.value.time == 1e-8
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_flow_overflow_is_silent(self, kind, spec64):
@@ -388,11 +381,13 @@ class TestProjection:
         assert np.array_equal(out[:, on].view(np.uint64), u[:, on].view(np.uint64))
         assert np.all(out[:, ~on] != u[:, ~on])
 
-    def test_weighted_square_error_paths(self, spec64):
+    def test_weighted_square_error_paths(self, spec64, monkeypatch):
         model = ModelSpec(ModelKind.WEIGHTED_SQUARE, 0.05, 3)
         state = random_smooth_state(GridSpec(2, 32), 3, seed=21, amplitude=0.3)
-        with pytest.raises(ProjectionError, match="did not reach"):
-            _project_weighted_square(state.values, constraint_values(state, model), max_iter=1)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_SHIFT_MAX_ITER", 1)
+            with pytest.raises(ProjectionError, match="did not reach tol=1e-12 in 1 iterations"):
+                _project_weighted_square(state.values, constraint_values(state, model))
         far = wells_state(spec64, (1e4, 0.0, 0.0))
         with pytest.raises(ProjectionError, match="bracket"):
             project_constraint(far, model, max_violation=np.inf)
@@ -491,15 +486,17 @@ class TestWeightedSquareProjectionMatchesReference:
     def test_random_smooth_states(self, seed):
         self.check(random_smooth_state(GridSpec(2, 32), 3, seed=seed, amplitude=0.3).values)
 
-    def test_near_well_cells_need_many_newton_iterations(self):
+    def test_near_well_cells_need_many_newton_iterations(self, monkeypatch):
         # Near the wells f is flat (sum g is about 1e-5), and the cells need up
         # to eleven Newton passes.
         spec = GridSpec(2, 32)
         rng = np.random.default_rng(3)
         u = wells_state(spec, (1.0, 0.0, 0.0)).values + 1e-5 * rng.uniform(-1, 1, (3,) + spec.shape)
         defect = constraint_values(PhaseField(spec, u), self.model)
-        with pytest.raises(ProjectionError, match="did not reach"):
-            _project_weighted_square(u, defect, max_iter=10)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_SHIFT_MAX_ITER", 10)
+            with pytest.raises(ProjectionError, match="did not reach"):
+                _project_weighted_square(u, defect)
         self.check(u)
 
     def test_state_that_needs_bracket_doubling(self):
@@ -508,7 +505,7 @@ class TestWeightedSquareProjectionMatchesReference:
         # Phase 0 starts above 1, and the root lies past its branch end at 1.
         assert np.max(np.abs(self.check(u) - u)) > 0.5
 
-    def test_frozen_cells_beside_cells_still_iterating(self):
+    def test_frozen_cells_beside_cells_still_iterating(self, monkeypatch):
         # Cells a small step off the manifold converge in the first Newton
         # pass, the near-well block and the shifted block, whose roots lie past
         # a branch end, take up to thirteen, so frozen cells sit beside cells
@@ -522,8 +519,10 @@ class TestWeightedSquareProjectionMatchesReference:
         u[:, :, :12] += 1e-5 * rng.uniform(-1, 1, (3, 32, 12))
         u[0, 20:, 16:] += 1.5
         defect = constraint_values(PhaseField(spec, u), self.model)
-        with pytest.raises(ProjectionError, match="did not reach"):
-            _project_weighted_square(u, defect, max_iter=12)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_SHIFT_MAX_ITER", 12)
+            with pytest.raises(ProjectionError, match="did not reach"):
+                _project_weighted_square(u, defect)
         assert np.max(np.abs(self.check(u) - u)) > 0.5
 
 

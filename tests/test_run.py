@@ -90,11 +90,6 @@ class TestRunSimulation:
         with pytest.raises(ScenarioError):
             run_simulation(scn)
 
-    def test_explicit_scheme_cfl_guard(self):
-        scn = disk_scenario(scheme="ExplicitEuler")  # dt = h^2 > h^2/8
-        with pytest.raises(ConfigurationError):
-            run_simulation(scn)
-
     def test_holder_report_present(self):
         # max L1 / sqrt(time apart) over consecutive samples and over each
         # later sample against the initial state, from the kept states.
