@@ -83,6 +83,12 @@ class KernelSpec:
     center_y: tuple[float, ...]
     terminal_s: float
 
+    def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.center_y):
+            raise InputError(f"kernel centre {self.center_y} is not finite")
+        if not math.isfinite(self.terminal_s):
+            raise InputError(f"kernel terminal time {self.terminal_s} is not finite")
+
     def truncation_for(self, t: float) -> int:
         tau = self.terminal_s - t
         if tau <= 0:
@@ -182,6 +188,8 @@ def _multiplier_terms(state: PhaseField, fe: FlowEval, rho: np.ndarray, grad_rho
     total = 0.0
     scale = 0.0
     for i in range(state.n_phases):
+        if state.absent[i]:  # u_i^2 = 0, so both terms are zero
+            continue
         dsq_dt = 2.0 * state.values[i] * fe.rhs[i]
         a_term = (0.5 * SIGMA_INV) * g.integrate_raw(rho * lam * dsq_dt, h, d)
         grads_sq = g.gradient_raw(state.values[i] * state.values[i], h)
@@ -306,6 +314,8 @@ def brakke_rhs_integrand(
     value -= SIGMA_INV * eps * g.integrate_raw(total, h, d)
     total.fill(0.0)
     for i in range(state.n_phases):
+        if state.absent[i]:  # X_i = +0; where du_i is nan, the first sum already is
+            continue
         g.grad_dot_raw(phi.values, state.values[i], h, out=term, a_diffs=phi.forward_differences)
         total += np.multiply(term, du[i], out=term)
     value -= SIGMA_INV * eps * g.integrate_raw(total, h, d)

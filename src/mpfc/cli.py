@@ -34,7 +34,7 @@ import numpy as np
 from .analysis import KernelSpec, brakke_residual, monotonicity_check
 from .diagnostics import energy_bv_gap, energy_measure, first_variation, measure_sample
 from .dynamics import ModelKind, ModelSpec, dissipation_rate, flow
-from .errors import BlowUpError, ConfigurationError, MpfcError
+from .errors import BlowUpError, ConfigurationError, InputError, MpfcError
 from .grid import GridSpec, ScalarField
 from .run import load_run_states, run_simulation
 from .scenarios import (
@@ -228,7 +228,10 @@ def _cmd_check_monotonicity(args) -> int:
         raise ConfigurationError(f"bad --center {args.center!r}") from exc
     if len(center) != states[0].spec.d:
         raise ConfigurationError("--center dimension does not match the run")
-    kernel = KernelSpec(center_y=center, terminal_s=args.terminal)
+    try:
+        kernel = KernelSpec(center_y=center, terminal_s=args.terminal)
+    except InputError as exc:  # a non-finite --center or --terminal
+        raise ConfigurationError(str(exc)) from exc
     usable = [st for st in states if st.time < args.terminal]
     if len(usable) < len(states):
         print(f"note: discarding {len(states) - len(usable)} snapshots at t >= terminal")

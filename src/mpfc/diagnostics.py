@@ -80,12 +80,17 @@ def energy_densities(
     Every energy-type density of the package (energy, discrepancy, BV,
     weighted balances, Gaussian density) is built from this one pass.  Phase
     by phase, grad_sq is ``grid.grad_dot_raw(u_i, u_i)`` and the energy and
-    discrepancy are formed in place from 0.5 eps grad_sq and W/eps.
+    discrepancy are formed in place from 0.5 eps grad_sq and W/eps; all three
+    are +0 for an absent phase (``PhaseField.absent``).
     """
     u, h = state.values, state.spec.h
     grad_sq, energy, discrepancy = np.empty(u.shape), np.empty(u.shape), np.empty(u.shape)
     potential, tmp = (g._scratch(state.spec.shape, slot) for slot in ("plane_a", "plane_b"))
-    for phase, gs, en, disc in zip(u, grad_sq, energy, discrepancy):
+    for phase, gs, en, disc, absent in zip(u, grad_sq, energy, discrepancy, state.absent):
+        if absent:
+            for plane in (gs, en, disc):
+                plane.fill(0.0)
+            continue
         g.grad_dot_raw(phase, phase, h, out=gs)
         np.multiply(0.5 * eps, gs, out=en)
         _double_well_into(phase, potential, tmp)

@@ -33,6 +33,18 @@ MeanShift's IMEX step solves N - 1 phases: its multiplier keeps sum_j u_j
 fixed pointwise, on or off the manifold, so the last phase is the old sum
 minus the others.  WeightedSum floors its multiplier, so it solves them all.
 
+A phase is absent when every entry is +0.0 (``PhaseField.absent``; -0.0 is
+present).  The SphereLL, WeightedSum and WeightedSquare couplings, lam u_i
+and Lam g(u_i), vanish with the phase, so an absent phase has
+Lap u_i = mu_i = +0 and du_i = lam * (+0), and adds nothing to the
+multiplier or the rate.  ``flow`` skips its work, and ``advance`` solves
+only the present phases and sets the absent ones to +0, the exact solution
+of their zero right-hand side: an absent phase stays absent and costs
+nothing.  MeanShift never skips, because its coupling Lam1 moves an absent
+phase.  The values are the full evaluation's bit for bit, except that at
+grid sizes with a large prime factor (n = 113, 127, ...) the FFT solve of a
+zero plane leaves some -0.0 entries where the skip writes +0.0.
+
 The WeightedSquare projection shifts a cell's phases by the t that solves
 sum_j k(u_j + t) = 1/6: grid-shaped safeguarded Newton on that equation,
 started from the root of its second-order expansion at t = 0.
@@ -46,6 +58,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -148,6 +161,13 @@ class PhaseField:
     def n_phases(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def absent(self) -> tuple[bool, ...]:
+        """Per phase, whether every entry is +0.0 (all bits zero; -0.0 is present)."""
+        planes = self.values.reshape(self.n_phases, -1).view(np.int64)
+        # A nonzero first entry settles a present phase without a scan.
+        return tuple(not (bits[0] or bits.any()) for bits in planes)
+
     def _with_finite_values(self, values: np.ndarray) -> "PhaseField":
         """This state's grid and time with ``values``, unchecked: a fresh C-contiguous
         float64 array of this state's shape whose entries are known finite."""
@@ -212,6 +232,14 @@ def constraint_violation(state: PhaseField, model: ModelSpec) -> float:
     return float(np.max(np.abs(constraint_values(state, model))))
 
 
+def _skipped_phases(state: PhaseField, model: ModelSpec) -> tuple[bool, ...]:
+    """Per phase, whether the step keeps it at +0: ``state.absent``, except under
+    MeanShift, whose coupling Lam1 moves an absent phase."""
+    if model.kind == ModelKind.MEAN_SHIFT:
+        return (False,) * state.n_phases
+    return state.absent
+
+
 def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
     """Evaluate du/dt together with the Laplacian, chemical potential, multiplier
     and dissipation rate.
@@ -225,6 +253,7 @@ def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
     u = state.values
     eps, kind = model.eps, model.kind
     grid_shape = state.spec.shape
+    skip = _skipped_phases(state, model)
     lap, mu, du = np.empty(u.shape), np.empty(u.shape), np.empty(u.shape)
     a, b = g._scratch(grid_shape, "plane_a"), g._scratch(grid_shape, "plane_b")
     # The multiplier's numerator sum, then the multiplier; the quotients sum
@@ -238,7 +267,11 @@ def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
     # Overflow anywhere in du/dt or its rate is legitimate blow-up; it surfaces
     # via the finiteness check after stepping, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for phase, lap_i, mu_i, du_i in zip(u, lap, mu, du):
+        for phase, lap_i, mu_i, du_i, absent in zip(u, lap, mu, du, skip):
+            if absent:  # Lap u_i = mu_i = g(u_i) = +0 add nothing; du_i becomes lam * (+0)
+                for plane in (lap_i, mu_i, du_i):
+                    plane.fill(0.0)
+                continue
             g.laplacian_raw(phase, state.spec.h, out=lap_i)
             np.multiply(-eps, lap_i, out=mu_i)
             mu_i += np.divide(_double_well_prime_into(phase, a, b), eps, out=a)
@@ -316,21 +349,33 @@ def advance(
     to S.  The last phase's IMEX residual is at most the sum of the solved
     phases' (each checked by the solve) plus round-off.  WeightedSum does not
     qualify: its multiplier is zero in floored cells, where sum_i du_i is not.
+    An absent phase of the other models is not solved; it stays +0.
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     u = state.values
-    # u + dt (rhs - lap) for the m solved phases, formed in scratch.
+    # u + dt (rhs - lap) for the k unskipped phases among the first m,
+    # formed in scratch and solved into new[:k].
     m = u.shape[0] - (model.kind == ModelKind.MEAN_SHIFT)
-    imex_rhs = g._scratch(u.shape, "stack_a")[:m]
-    for out, rhs_i, lap_i, phase in zip(imex_rhs, fe.rhs, fe.lap, u):
-        np.subtract(rhs_i, lap_i, out=out)
+    skip = _skipped_phases(state, model)
+    solved = [i for i in range(m) if not skip[i]]
+    k = len(solved)
+    imex_rhs = g._scratch(u.shape, "stack_a")[:k]
+    for out, i in zip(imex_rhs, solved):
+        np.subtract(fe.rhs[i], fe.lap[i], out=out)
         out *= dt
-        out += phase
+        out += u[i]
     new = np.empty(u.shape)
-    g.helmholtz_solve_raw(imex_rhs, 1.0, dt, state.spec, out=new[:m])
+    if k:
+        g.helmholtz_solve_raw(imex_rhs, 1.0, dt, state.spec, out=new[:k])
+    for j in reversed(range(k)):  # the solved planes move up to their phases
+        if solved[j] != j:
+            new[solved[j]] = new[j]
+    for i in range(m):  # +0 solves a skipped phase's zero right-hand side
+        if skip[i]:
+            new[i].fill(0.0)
     if m < u.shape[0]:  # the last phase is S minus the solved ones
         last = np.add(u[0], u[1], out=new[-1])
         for phase in u[2:]:

@@ -59,6 +59,7 @@ __all__ = [
     "integrate_raw",
     "stencil_symbol",
     "helmholtz_solve_raw",
+    "release_scratch",
 ]
 
 
@@ -183,8 +184,9 @@ def _scratch(shape: tuple[int, ...], slot: str, dtype=np.float64) -> np.ndarray:
 
     A buffer never leaves the function that fills it: that function reads it
     back before it returns, and holds it across no call that uses the same
-    slot.  The next call that asks for the slot overwrites it.  Buffers live
-    as long as the thread, one per (shape, slot, dtype).
+    slot.  The next call that asks for the slot overwrites it.  Buffers are
+    kept, one per (shape, slot, dtype), until ``release_scratch`` drops them;
+    ``run.run_simulation`` does so when it returns or raises.
     """
     key = (shape, slot, np.dtype(dtype))
     buffers = _scratch_local.buffers
@@ -192,6 +194,11 @@ def _scratch(shape: tuple[int, ...], slot: str, dtype=np.float64) -> np.ndarray:
     if buf is None:
         buf = buffers[key] = np.empty(shape, dtype)
     return buf
+
+
+def release_scratch() -> None:
+    """Drop this thread's scratch buffers; the next ``_scratch`` call allocates afresh."""
+    _scratch_local.buffers.clear()
 
 
 def laplacian_raw(a: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:

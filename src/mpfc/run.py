@@ -108,8 +108,16 @@ def run_simulation(
     or by a ``ProjectionError``, the last sampled state is persisted as
     ``last_good.mpfc`` and the samples so far as ``timeseries.csv``; then the
     error is re-raised as its own class, naming the failing step and time.
-    ``t_end`` is rounded to a whole number of steps.
+    ``t_end`` is rounded to a whole number of steps.  However it ends, the
+    run drops this thread's scratch buffers (``grid.release_scratch``).
     """
+    try:
+        return _simulate(scenario, keep_states, out_dir, brakke_phis)
+    finally:
+        g.release_scratch()
+
+
+def _simulate(scenario: Scenario, keep_states: bool, out_dir, brakke_phis) -> RunRecord:
     phis = brakke_phis or {}
     if "one" in phis:
         raise ValueError('the Brakke series name "one" is reserved')

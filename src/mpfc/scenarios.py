@@ -321,7 +321,10 @@ def build_scenario(scenario: Scenario) -> PhaseField:
     """Construct the projected initial state of a scenario.
 
     Profiles fill the geometry's regions; when the model carries more phases
-    than the geometry has regions the extra phases start at zero.  The exact
+    than the geometry has regions the extra phases start at zero.  SphereLL
+    keeps them at exactly +0.0 (its coupling lam u_i and the radial
+    projection map +0 to +0), so they are absent and cost the step and the
+    diagnostics nothing (see ``dynamics``).  The exact
     constraint projection runs last, so the returned state satisfies the
     model's conservation law to projection accuracy.  For the two-region
     geometries with a sum-type constraint the initial energy is verified to

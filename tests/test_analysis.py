@@ -97,6 +97,14 @@ class TestBackwardHeatKernel:
         with pytest.raises(InputError, match="coordinates"):
             kernel_field(GridSpec(2, 16), 0.5, spec)
 
+    @pytest.mark.parametrize("center, terminal", [
+        ((np.nan, 0.5), 1.0), ((0.5, np.inf), 1.0),
+        ((0.5, 0.5), np.inf), ((0.5, 0.5), -np.inf), ((0.5, 0.5), np.nan),
+    ])
+    def test_non_finite_centre_or_terminal_rejected(self, center, terminal):
+        with pytest.raises(InputError, match="not finite"):
+            KernelSpec(center_y=center, terminal_s=terminal)
+
     def test_domain_error_at_terminal_time(self):
         spec = KernelSpec(center_y=(0.5, 0.5), terminal_s=0.5)
         with pytest.raises(InputError):

@@ -197,6 +197,16 @@ class TestSubcommands:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("center, terminal", [
+        ("0.5,0.5", "inf"), ("0.5,0.5", "nan"), ("nan,0.5", "0.05"),
+    ])
+    def test_check_monotonicity_non_finite_kernel_exit_2(self, run_dir, capsys, center, terminal):
+        code = main([
+            "check-monotonicity", str(run_dir), "--center", center, "--terminal", terminal,
+        ])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_study_h_axis(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "n = 32\neps = 0.125\nt_end = 0.0\n")
         assert main(["study", str(cfg), "--axis", "h", "--levels", "3"]) == 0

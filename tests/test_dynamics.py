@@ -762,3 +762,104 @@ def test_weighted_square_projection_is_one_stack_pass(monkeypatch):
         monkeypatch.setattr(dynamics, name, counted)
     project_constraint(state, model)
     assert calls == {"_well_primitive_into": 3, "_sqrt_double_well_into": 3}
+
+
+SKIPPING = [ModelKind.SPHERE_LL, ModelKind.WEIGHTED_SUM, ModelKind.WEIGHTED_SQUARE]
+
+
+def padded(state: PhaseField, at: int) -> PhaseField:
+    """``state`` with an all +0.0 phase inserted at index ``at``."""
+    return PhaseField(state.spec, np.insert(state.values, at, 0.0, axis=0), state.time)
+
+
+class TestAbsentPhases:
+    """A phase whose entries are all +0.0 is absent.  The flow and step of the
+    models whose coupling vanishes with the phase skip it, with the bits of
+    the full evaluation; MeanShift never skips."""
+
+    def test_absent_is_every_bit_zero(self):
+        spec = GridSpec(2, 8)
+        u = np.zeros((3,) + spec.shape)
+        u[0] = 0.5
+        u[1, 3, 4] = 5e-324  # one subnormal is present
+        assert PhaseField(spec, u.copy()).absent == (False, False, True)
+        u[2] = -0.0
+        assert PhaseField(spec, u).absent == (False, False, False)
+
+    @pytest.mark.parametrize("kind", SKIPPING)
+    def test_padded_flow_is_the_flow_padded(self, kind):
+        model2, _, state = manifold_pair(kind, 2, 64)
+        model3 = ModelSpec(kind, model2.eps, 3)
+        fe2, fe3 = flow(state, model2), flow(padded(state, 2), model3)
+        assert same_bits(fe3.rhs[:2], fe2.rhs) and same_bits(fe3.lap[:2], fe2.lap)
+        assert same_bits(fe3.mu[:2], fe2.mu) and same_bits(fe3.multiplier, fe2.multiplier)
+        assert (fe3.rate, fe3.floored_fraction) == (fe2.rate, fe2.floored_fraction)
+        zero = np.zeros(state.spec.shape)
+        assert same_bits(fe3.lap[2], zero) and same_bits(fe3.mu[2], zero)
+        # du_2 = lam * (+0): -0.0 where the multiplier is negative.
+        assert same_bits(fe3.rhs[2], fe2.multiplier * 0.0)
+        assert np.signbit(fe3.rhs[2]).any()
+
+    @pytest.mark.parametrize("kind", SKIPPING)
+    def test_absent_middle_phase_steps_as_the_last(self, kind):
+        # (u0, 0, u1) steps to the permutation of what (u0, u1, 0) steps to:
+        # the solved planes move up past the absent one.
+        model2, _, state = manifold_pair(kind, 2, 64)
+        model = ModelSpec(kind, model2.eps, 3)
+        dt = 0.7 * state.spec.h**2
+        middle, last = padded(state, 1), padded(state, 2)
+        fe_middle, fe_last = flow(middle, model), flow(last, model)
+        assert fe_middle.rate == fe_last.rate
+        got = advance(middle, model, dt, "IMEX", fe_middle).values
+        want = advance(last, model, dt, "IMEX", fe_last).values
+        assert same_bits(got[[0, 2, 1]], want)
+        assert advance(middle, model, dt, "IMEX", fe_middle).absent == (False, True, False)
+
+    def test_mean_shift_moves_an_absent_phase(self):
+        _, _, state = manifold_pair(ModelKind.MEAN_SHIFT, 2, 64)
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 3.7 / 64, 3)
+        state = padded(state, 1)
+        assert state.absent == (False, True, False)
+        fe = flow(state, model)
+        assert np.any(fe.rhs[1] != 0.0)
+        assert not advance(state, model, state.spec.h**2, "IMEX", fe).absent[1]
+
+    def test_sphere_step_skips_the_absent_phase(self, monkeypatch):
+        # The flow forms two Laplacians and the solve checks two planes (one
+        # Laplacian each): 4 calls, against 6 with the absent phase solved.
+        n = 64
+        model = ModelSpec(ModelKind.SPHERE_LL, 8.0 / n, 3)
+        state = project_constraint(disk_state(n, n_phases=3), model, max_violation=np.inf)
+        assert state.absent == (False, False, True)
+        laplacians, planes = [], []
+        laplacian, solve = dynamics.g.laplacian_raw, dynamics.g.helmholtz_solve_raw
+
+        def counted_laplacian(*args, **kwargs):
+            laplacians.append(1)
+            return laplacian(*args, **kwargs)
+
+        def counted_solve(rhs, *args, **kwargs):
+            planes.append(rhs.shape[0])
+            return solve(rhs, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics.g, "laplacian_raw", counted_laplacian)
+        monkeypatch.setattr(dynamics.g, "helmholtz_solve_raw", counted_solve)
+        new = advance(state, model, state.spec.h**2, "IMEX", flow(state, model), project=True)
+        assert (len(laplacians), planes) == (4, [2])
+        assert new.absent == (False, False, True)
+
+    @pytest.mark.parametrize("kind", SKIPPING)
+    def test_negative_zero_phase_is_not_skipped(self, kind, monkeypatch):
+        model2, _, state = manifold_pair(kind, 2, 32)
+        model = ModelSpec(kind, model2.eps, 3)
+        state = PhaseField(state.spec, np.insert(state.values, 2, -0.0, axis=0))
+        calls = []
+        laplacian = dynamics.g.laplacian_raw
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return laplacian(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics.g, "laplacian_raw", counted)
+        flow(state, model)
+        assert len(calls) == 3

@@ -1,7 +1,11 @@
 """Run orchestration: sampling, accounting, persistence, determinism, studies."""
 
+import csv
+
 import numpy as np
 import pytest
+
+import mpfc.grid
 
 from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, advance, dissipation_rate, flow
 from mpfc.errors import (
@@ -12,7 +16,7 @@ from mpfc.errors import (
     ScenarioError,
 )
 from conftest import written_out_brakke_integrand
-from mpfc.analysis import brakke_rhs_integrand
+from mpfc.analysis import KernelSpec, brakke_residual, brakke_rhs_integrand, monotonicity_check
 from mpfc.cli import _RATIO_WINDOWS
 from mpfc.grid import GridSpec, ScalarField
 from mpfc.run import load_run_states, run_simulation
@@ -178,6 +182,56 @@ class TestRunSimulation:
         # The samples taken before the failure: a header and one row per snapshot.
         rows = (tmp_path / "timeseries.csv").read_text().splitlines()
         assert len(rows) == 1 + len(snaps)
+
+    def test_sphere_absent_phase_costs_nothing(self, tmp_path):
+        # On a disk the third SphereLL component stays all +0.0, and the N = 3
+        # run is the N = 2 run bit for bit: states, samples, CSV columns, the
+        # Brakke balance and the monotonicity trace.
+        runs = {}
+        for n_phases in (2, 3):
+            scn = disk_scenario(t_end=24 * (1.0 / 128) ** 2, kind=ModelKind.SPHERE_LL,
+                                n_phases=n_phases, snapshot_every=4)
+            phi = bump_field(scn.grid, center=(0.45, 0.5))
+            rec = run_simulation(scn, keep_states=True, out_dir=tmp_path / str(n_phases),
+                                 brakke_phis={"bump": (phi, None)})
+            with open(tmp_path / str(n_phases) / "timeseries.csv") as f:
+                rows = list(csv.DictReader(f))
+            runs[n_phases] = scn.model, rec, rows, phi
+        (model2, two, rows2, phi), (model3, three, rows3, _) = runs[2], runs[3]
+        for st2, st3 in zip(two.states, three.states, strict=True):
+            assert st2.values.tobytes() == st3.values[:2].tobytes()
+            assert st3.absent == (False, False, True)
+        for s2, s3 in zip(two.samples, three.samples, strict=True):
+            assert s2.energy_total == s3.energy_total and s2.mu_phi == s3.mu_phi
+            assert s2.energy_per_phase.tobytes() == s3.energy_per_phase[:2].tobytes()
+            assert s3.energy_per_phase[2] == 0.0
+        for r2, r3 in zip(rows2, rows3, strict=True):
+            assert r2 == {key: r3[key] for key in r2}
+        for name in ("dissipated", "dissipation_rates"):
+            assert getattr(two, name).tobytes() == getattr(three, name).tobytes()
+        assert (two.brakke["bump"].rhs_cumulative.tobytes()
+                == three.brakke["bump"].rhs_cumulative.tobytes())
+        residuals = [brakke_residual(rec.states, m.eps, m, phi).tobytes()
+                     for m, rec in ((model2, two), (model3, three))]
+        assert residuals[0] == residuals[1]
+        kernel = KernelSpec((0.5, 0.5), 0.05)
+        traces = [monotonicity_check(rec.states, m.eps, kernel, model=m)[0]
+                  for m, rec in ((model2, two), (model3, three))]
+        for name in ("gaussian_density", "rhs_bound", "multiplier_cancellation",
+                     "multiplier_scale"):
+            assert getattr(traces[0], name).tobytes() == getattr(traces[1], name).tobytes()
+
+    def test_scratch_released_after_a_run(self, tmp_path):
+        run_simulation(disk_scenario(t_end=4 * (1.0 / 128) ** 2))
+        assert mpfc.grid._scratch_local.buffers == {}
+        n = 64
+        failing = Scenario(
+            geometry=Disk(), model=ModelSpec(ModelKind.MEAN_SHIFT, 4.0 / n, 2),
+            grid=GridSpec(2, n), dt=0.05, t_end=2.0, projection="off",
+        )
+        with pytest.raises(BlowUpError):
+            run_simulation(failing, out_dir=tmp_path)
+        assert mpfc.grid._scratch_local.buffers == {}
 
     def test_keep_states(self):
         rec = run_simulation(disk_scenario(t_end=0.002), keep_states=True)
