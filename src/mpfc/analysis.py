@@ -16,8 +16,10 @@ For flows of this package the Gaussian density G(t) = int rho d(mu_t) obeys
             + multiplier terms                                   (per phase)
 
 where xi is the signed discrepancy measure; dropping the negative square and
-summing the multiplier terms (which cancel exactly on sphere-projected
-states) leaves  dG/dt <= (1/(2(s-t))) int rho d(xi_t).
+summing the multiplier terms leaves  dG/dt <= (1/(2(s-t))) int rho d(xi_t).
+The multiplier terms pair grad rho with grad(u_i^2) through
+``grid.grad_dot_raw``, the pairing of the Brakke cross term below, so their
+sum cancels to round-off on sphere-projected states.
 ``monotonicity_check`` verifies that inequality along a run with a centered
 finite difference in time, with the tolerance calibrated from the trace
 itself by Richardson extrapolation rather than a fixed magic number.
@@ -98,12 +100,11 @@ class KernelSpec:
         return max(1, math.ceil(math.sqrt(4.0 * tau * 40.3)))
 
 
-def _axis_image_sums(coords: np.ndarray, y: float, tau: float, radius: int):
-    """1D lattice sums S(x) = sum_k exp(-(delta+k)^2/(4 tau)) and S'."""
+def _axis_image_sums(coords: np.ndarray, y: float, tau: float, radius: int) -> np.ndarray:
+    """1D lattice sums S(x) = sum_k exp(-(delta+k)^2/(4 tau))."""
     delta = g.torus_delta(coords, y)  # wrap to [-1/2, 1/2]; keeps the sum shift invariant
     z = delta[:, None] + np.arange(-radius, radius + 1)[None, :]
-    e = np.exp(-(z * z) / (4.0 * tau))
-    return e.sum(axis=1), (e * (-z / (2.0 * tau))).sum(axis=1)
+    return np.exp(-(z * z) / (4.0 * tau)).sum(axis=1)
 
 
 def _kernel_terms(spec: KernelSpec, t: float, d: int) -> tuple[int, float, float]:
@@ -119,15 +120,12 @@ def backward_heat_kernel(x, t: float, spec: KernelSpec) -> float:
     x = np.asarray(x, dtype=np.float64)
     radius, tau, value = _kernel_terms(spec, t, x.size)
     for a in range(x.size):
-        s, _ = _axis_image_sums(np.array([x[a]]), spec.center_y[a], tau, radius)
-        value *= s[0]
+        value *= _axis_image_sums(np.array([x[a]]), spec.center_y[a], tau, radius)[0]
     return float(value)
 
 
-def kernel_field(
-    grid_spec: GridSpec, t: float, spec: KernelSpec, with_gradient: bool = False
-):
-    """Kernel (and analytic gradient) sampled on the whole grid.
+def kernel_field(grid_spec: GridSpec, t: float, spec: KernelSpec) -> np.ndarray:
+    """The kernel sampled on the whole grid.
 
     The image sum factorizes over axes, so the cost is O(d n K) rather than
     O(n^d K^d).
@@ -135,30 +133,16 @@ def kernel_field(
     d = grid_spec.d
     radius, tau, pref = _kernel_terms(spec, t, d)
     coords = np.arange(grid_spec.n) * grid_spec.h
-    sums, dsums = [], []
+    rho = np.array(pref)
     for a in range(d):
-        s, ds = _axis_image_sums(coords, spec.center_y[a], tau, radius)
-        sums.append(s)
-        dsums.append(ds)
-
-    def outer(axis_values):
-        out = np.array(pref)
-        for a in range(d):
-            shape = [1] * d
-            shape[a] = grid_spec.n
-            out = out * axis_values[a].reshape(shape)
-        return out
-
-    rho = outer(sums)
-    if not with_gradient:
-        return rho, None
-    grad = np.stack([outer([dsums[a] if b == a else sums[b] for b in range(d)]) for a in range(d)])
-    return rho, grad
+        sums = _axis_image_sums(coords, spec.center_y[a], tau, radius)
+        rho = rho * sums.reshape((-1,) + (1,) * (d - 1 - a))
+    return rho
 
 
 def gaussian_density(state: PhaseField, eps: float, spec: KernelSpec) -> float:
     """int rho(., t) d(mu_t) at the state's own time."""
-    return mu_of_phi(state, eps, kernel_field(state.spec, state.time, spec)[0])
+    return mu_of_phi(state, eps, kernel_field(state.spec, state.time, spec))
 
 
 @dataclass(frozen=True)
@@ -175,27 +159,32 @@ class MonotonicityTrace:
     interior_index: np.ndarray                 # indices of interior times in ``times``
 
 
-def _multiplier_terms(state: PhaseField, fe: FlowEval, rho: np.ndarray, grad_rho: np.ndarray):
+def _multiplier_terms(state: PhaseField, fe: FlowEval, rho: ScalarField):
     """Per-phase multiplier terms of the Gaussian-density identity (sphere model).
 
-    term_i = (1/(2 SIGMA)) [ int rho lam d_t(u_i^2) dx + int lam grad rho . grad(u_i^2) dx ].
-    Their sum cancels exactly when sum_i u_i^2 is constant: d_t uses the same
-    pointwise products and the discrete gradient of u_i^2 is linear, so both
-    sums vanish to round-off on projected states.
+    term_i = (1/(2 SIGMA)) [ int rho lam d_t(u_i^2) dx + int lam X(rho, u_i^2) dx ],
+    where X = ``grid.grad_dot_raw`` pairs grad rho with grad(u_i^2) as the
+    Brakke cross term pairs grad phi with grad u_i; rho's differences are its
+    cached ``forward_differences``.  Their sum cancels exactly when
+    sum_i u_i^2 is constant: d_t uses the same pointwise products and X is
+    linear in u_i^2, so both sums vanish to round-off on projected states.
     """
     h, d = state.spec.h, state.spec.d
     lam = fe.multiplier
+    a, b = (g._scratch(state.spec.shape, slot) for slot in ("plane_a", "plane_b"))
     total = 0.0
     scale = 0.0
-    for i in range(state.n_phases):
-        if state.absent[i]:  # u_i^2 = 0, so both terms are zero
+    for phase, du_i, absent in zip(state.values, fe.rhs, state.absent):
+        if absent:  # u_i^2 = 0, so both terms are zero
             continue
-        dsq_dt = 2.0 * state.values[i] * fe.rhs[i]
-        a_term = (0.5 * SIGMA_INV) * g.integrate_raw(rho * lam * dsq_dt, h, d)
-        grads_sq = g.gradient_raw(state.values[i] * state.values[i], h)
-        b_term = (0.5 * SIGMA_INV) * g.integrate_raw(
-            lam * sum(grad_rho[a] * grads_sq[a] for a in range(d)), h, d
-        )
+        np.multiply(2.0, phase, out=a)
+        a *= du_i  # d_t(u_i^2)
+        a *= np.multiply(rho.values, lam, out=b)
+        a_term = (0.5 * SIGMA_INV) * g.integrate_raw(a, h, d)
+        np.multiply(phase, phase, out=b)
+        g.grad_dot_raw(rho.values, b, h, out=a, a_diffs=rho.forward_differences)
+        a *= lam
+        b_term = (0.5 * SIGMA_INV) * g.integrate_raw(a, h, d)
         total += a_term + b_term
         scale += abs(a_term) + abs(b_term)
     return total, scale
@@ -236,12 +225,12 @@ def monotonicity_check(
     cancel = np.empty(len(run)) if sphere else None
     scale = np.empty(len(run)) if sphere else None
     for k, st in enumerate(run):
-        rho, grad_rho = kernel_field(st.spec, st.time, spec, with_gradient=sphere)
+        rho = kernel_field(st.spec, st.time, spec)
         _, energy, discrepancy = energy_densities(st, eps)
         G[k] = _phi_integrals(st, energy, [rho])[0]
         bound[k] = _phi_integrals(st, discrepancy, [rho])[0] / (2.0 * (spec.terminal_s - st.time))
         if sphere:
-            cancel[k], scale[k] = _multiplier_terms(st, flow(st, model), rho, grad_rho)
+            cancel[k], scale[k] = _multiplier_terms(st, flow(st, model), ScalarField(st.spec, rho))
 
     interior = np.arange(1, len(run) - 1)
     fd = (G[2:] - G[:-2]) / (2.0 * dt)

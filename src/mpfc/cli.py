@@ -91,7 +91,7 @@ def _parse_geometry(text: str, d: int):
     if v and len(v) != arity[name]:
         raise ConfigurationError(f"{name} takes {arity[name]} arguments, got {len(v)} in {text!r}")
     if name == "Disk":
-        return Disk(center=tuple(v[:-1]), radius=v[-1]) if v else Disk()
+        return Disk(center=tuple(v[:-1]), radius=v[-1]) if v else Disk(center=(0.5,) * d)
     if name == "FlatStrip":
         return FlatStrip(*v)
     if name == "DoubleStrip":

@@ -39,9 +39,10 @@ and Lam g(u_i), vanish with the phase, so an absent phase has
 Lap u_i = mu_i = +0 and du_i = lam * (+0), and adds nothing to the
 multiplier or the rate.  ``flow`` skips its work, and ``advance`` solves
 only the present phases and sets the absent ones to +0, the exact solution
-of their zero right-hand side: an absent phase stays absent and costs
-nothing.  MeanShift never skips, because its coupling Lam1 moves an absent
-phase.  The values are the full evaluation's bit for bit, except that at
+of their zero right-hand side; the SphereLL projection leaves them out of
+its sum of squares and writes +0, which +0 / norm is.  An absent phase
+stays absent and costs nothing.  MeanShift never skips, because its
+coupling Lam1 moves an absent phase.  The values are the full evaluation's bit for bit, except that at
 grid sizes with a large prime factor (n = 113, 127, ...) the FFT solve of a
 zero plane leaves some -0.0 entries where the skip writes +0.0.
 
@@ -493,9 +494,10 @@ def project_constraint(
     _check_state(state, model)
     u = state.values
     buf = g._scratch(state.spec.shape, "project_defect")
+    skip = state.absent if model.kind == ModelKind.SPHERE_LL else (False,) * model.n_phases
     if model.kind == ModelKind.SPHERE_LL:
         # sum u^2 once: rounding is monotone, so max(sq - 1) = max(sq) - 1.
-        sq = _phase_sum(u, buf, square=True)
+        sq = _phase_sum([phase for phase, absent in zip(u, skip) if not absent], buf, square=True)
         violation = float(max(np.max(sq) - 1.0, 1.0 - np.min(sq)))
     else:
         defect = _constraint_defect(u, model, buf)
@@ -517,6 +519,9 @@ def project_constraint(
         defect /= model.n_phases
         op, plane = np.subtract, defect
     new = np.empty(u.shape)
-    for phase, out in zip(u, new):
-        op(phase, plane, out=out)
+    for phase, out, absent in zip(u, new, skip):
+        if absent:
+            out.fill(0.0)
+        else:
+            op(phase, plane, out=out)
     return state._with_finite_values(new)

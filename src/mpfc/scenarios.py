@@ -71,7 +71,7 @@ class FlatStrip:
 
     n_regions = 2
 
-    def validate(self, eps: float) -> None:
+    def validate(self, eps: float, d: int) -> None:
         width = self.hi - self.lo
         if not 0.0 < self.lo < self.hi < 1.0:
             raise ScenarioError(f"strip [{self.lo}, {self.hi}] must sit inside (0, 1)")
@@ -94,7 +94,7 @@ class DoubleStrip:
 
     n_regions = 2
 
-    def validate(self, eps: float) -> None:
+    def validate(self, eps: float, d: int) -> None:
         edges = []
         for lo, hi in sorted(self.bands):
             if not 0.0 <= lo < hi <= 1.0:
@@ -125,7 +125,9 @@ class Disk:
 
     n_regions = 2
 
-    def validate(self, eps: float) -> None:
+    def validate(self, eps: float, d: int) -> None:
+        if len(self.center) != d:
+            raise ScenarioError(f"disk center {self.center} does not have the grid's {d} axes")
         if not 3 * eps < self.radius < 0.5 - 3 * eps:
             raise ScenarioError(
                 f"disk radius {self.radius} outside (3 eps, 0.5 - 3 eps) = "
@@ -134,8 +136,6 @@ class Disk:
 
     def inside_profile(self, spec: GridSpec, eps: float) -> np.ndarray:
         axes = spec.meshgrid()
-        if len(self.center) != spec.d:
-            raise ScenarioError("disk center dimension does not match the grid")
         rho = np.sqrt(sum(torus_delta(axes[a], self.center[a]) ** 2 for a in range(spec.d)))
         return optimal_profile(self.radius - rho, eps)
 
@@ -152,12 +152,9 @@ class TwoDisks:
 
     n_regions = 2
 
-    def validate(self, eps: float) -> None:
-        for r in self.radii:
-            if not 3 * eps < r < 0.5 - 3 * eps:
-                raise ScenarioError(f"disk radius {r} outside (3 eps, 0.5 - 3 eps)")
-        if len(self.centers[0]) != len(self.centers[1]):
-            raise ScenarioError("two-disk centers have different dimensions")
+    def validate(self, eps: float, d: int) -> None:
+        for c, r in zip(self.centers, self.radii):
+            Disk(c, r).validate(eps, d)
         delta = torus_delta(np.asarray(self.centers[0]), np.asarray(self.centers[1]))
         gap = float(np.linalg.norm(delta)) - self.radii[0] - self.radii[1]
         if gap < 6 * eps:
@@ -248,7 +245,9 @@ class TripleJunction:
 
     n_regions = 3
 
-    def validate(self, eps: float) -> None:
+    def validate(self, eps: float, d: int) -> None:
+        if d != 2:
+            raise ScenarioError("triple junction geometry requires d = 2")
         if len(self.angles) != 3:
             raise ScenarioError(f"a triple junction needs 3 ray angles, got {len(self.angles)}")
         a = np.sort(np.mod(np.asarray(self.angles, dtype=float), 360.0))
@@ -274,9 +273,7 @@ class TripleJunction:
         return polys
 
     def region_distances(self, spec: GridSpec) -> np.ndarray:
-        """Signed torus distance to each wedge region, positive inside."""
-        if spec.d != 2:
-            raise ScenarioError("triple junction geometry requires d = 2")
+        """Signed torus distance to each wedge region, positive inside (d = 2)."""
         ax = np.arange(spec.n) * spec.h  # the axis of spec.meshgrid()
         qx, qy = torus_delta(ax, self.center[0]), torus_delta(ax, self.center[1])
         return _signed_region_distances(qx[:, None], qy[None, :], self._polygons())
@@ -293,7 +290,8 @@ Geometry = FlatStrip | DoubleStrip | Disk | TwoDisks | TripleJunction
 
 @dataclass(frozen=True)
 class Scenario:
-    """Initial-data recipe plus run schedule."""
+    """Initial-data recipe plus run schedule, checked once, here: the schedule,
+    the scheme, the geometry against the grid and eps, and the phase count."""
 
     geometry: Geometry
     model: ModelSpec
@@ -315,6 +313,12 @@ class Scenario:
             raise ScenarioError(f"unknown projection policy {self.projection!r}")
         if self.scheme not in SCHEMES:
             raise ScenarioError(f"unknown scheme {self.scheme!r}")
+        self.geometry.validate(self.model.eps, self.grid.d)
+        if self.model.n_phases < self.geometry.n_regions:
+            raise ScenarioError(
+                f"geometry needs {self.geometry.n_regions} phases but the model has "
+                f"{self.model.n_phases}"
+            )
 
 
 def build_scenario(scenario: Scenario) -> PhaseField:
@@ -336,12 +340,6 @@ def build_scenario(scenario: Scenario) -> PhaseField:
     model = scenario.model
     spec = scenario.grid
     eps = model.eps
-    geom.validate(eps)
-    if model.n_phases < geom.n_regions:
-        raise ScenarioError(
-            f"geometry needs {geom.n_regions} phases but the model has {model.n_phases}"
-        )
-
     if isinstance(geom, TripleJunction):
         regions = geom.profiles(spec, eps)
     else:

@@ -28,7 +28,7 @@ from mpfc.grid import (
     laplacian_raw,
     torus_delta,
 )
-from mpfc.potential import SIGMA, double_well, double_well_prime
+from mpfc.potential import SIGMA, SIGMA_INV, double_well, double_well_prime
 from mpfc.run import run_simulation
 from mpfc.scenarios import Disk, Scenario
 from mpfc.testfields import bump_field, radial_vector_field
@@ -241,6 +241,32 @@ class TestMonotonicityCheck:
         for f in dataclasses.fields(trace):
             a, b = getattr(trace, f.name), getattr(plain, f.name)
             assert (a is None and b is None) or np.array_equal(a, b), f.name
+
+    def test_multiplier_terms_written_out(self):
+        # a_i = (1/(2 SIGMA)) int rho lam d_t(u_i^2) and
+        # b_i = (1/(2 SIGMA)) int lam grad_dot_raw(rho, u_i^2), the Brakke cross
+        # term's pairing.  Off the sphere their sum does not cancel, so the
+        # trace's sum and scale both read the pairing, bit for bit.
+        from conftest import projected_sphere_state
+
+        base, model = projected_sphere_state(n=64, seed=2)
+        spec, h = base.spec, base.spec.h
+        factor = 1.0 + 0.1 * np.sin(2 * np.pi * spec.meshgrid()[0])
+        states = [PhaseField(spec, base.values * factor, time=k * 1e-4) for k in range(3)]
+        kspec = KernelSpec(center_y=(0.4, 0.55), terminal_s=0.05)
+        trace, _ = monotonicity_check(states, model.eps, kspec, model=model)
+        for k, st in enumerate(states):
+            fe, rho = flow(st, model), kernel_field(spec, st.time, kspec)
+            lam = fe.multiplier
+            total = scale = 0.0
+            for u, du in zip(st.values, fe.rhs):
+                a = 0.5 * SIGMA_INV * integrate_raw(rho * lam * (2.0 * u * du), h, 2)
+                b = 0.5 * SIGMA_INV * integrate_raw(lam * grad_dot_raw(rho, u * u, h), h, 2)
+                total += a + b
+                scale += abs(a) + abs(b)
+            assert abs(total) > 1e-3 * scale
+            assert trace.multiplier_cancellation[k] == total
+            assert trace.multiplier_scale[k] == scale
 
     def test_sphere_multiplier_cancellation(self):
         from conftest import projected_sphere_state
@@ -562,20 +588,10 @@ class TestTestFieldCentres:
 
 
 class TestKernelField:
-    def test_gradient_matches_finite_difference(self):
+    def test_field_matches_the_pointwise_kernel(self):
         spec = GridSpec(2, 64)
         kspec = KernelSpec(center_y=(0.4, 0.6), terminal_s=0.1)
-        rho, grad = kernel_field(spec, 0.06, kspec, with_gradient=True)
-        # analytic gradient vs a fine centered difference at a lattice point
-        delta = 1e-6
-        t = 0.06
+        rho = kernel_field(spec, 0.06, kspec)
         i, j = 20, 44
-        x0, x1 = i * spec.h, j * spec.h
-        assert rho[i, j] == pytest.approx(backward_heat_kernel((x0, x1), t, kspec), rel=1e-13)
-        for axis in (0, 1):
-            off = [0.0, 0.0]
-            off[axis] = delta
-            up = backward_heat_kernel((x0 + off[0], x1 + off[1]), t, kspec)
-            dn = backward_heat_kernel((x0 - off[0], x1 - off[1]), t, kspec)
-            fd = (up - dn) / (2 * delta)
-            assert grad[axis][i, j] == pytest.approx(float(fd), rel=1e-6)
+        assert rho[i, j] == pytest.approx(
+            backward_heat_kernel((i * spec.h, j * spec.h), 0.06, kspec), rel=1e-13)

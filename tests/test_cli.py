@@ -77,7 +77,8 @@ class TestConfigParsing:
             parse_config(path)
 
     def test_disk_takes_one_centre_coordinate_per_axis(self, tmp_path):
-        path = write_config(tmp_path, "geometry = Disk(0.5,0.5,0.5,0.25)\nd = 3\nn = 32\n")
+        path = write_config(tmp_path, "geometry = Disk(0.5,0.5,0.5,0.25)\nd = 3\nn = 32\n"
+                                      "eps = 0.0625\n")
         assert parse_config(path).geometry == Disk(center=(0.5, 0.5, 0.5), radius=0.25)
         path = write_config(tmp_path, "geometry = Disk(0.5,0.5,0.25)\nd = 3\nn = 32\n")
         with pytest.raises(ConfigurationError, match="Disk takes 4 arguments"):
@@ -105,10 +106,27 @@ class TestSubcommands:
         snaps = sorted(run_dir.glob("snap_*.mpfc"))
         assert len(snaps) >= 3
 
-    def test_simulate_planar_disks_on_a_3d_grid_exit_1(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "geometry = TwoDisks\nd = 3\nn = 32\neps = 0.02\n")
-        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "center dimension" in capsys.readouterr().err
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("geometry = TripleJunction\nd = 3\nn = 16\n", "requires d = 2",
+                     id="junction-3d"),
+        pytest.param("geometry = TripleJunction\nn_phases = 2\nn = 64\neps = 0.03125\n",
+                     "needs 3 phases", id="junction-two-phases"),
+        pytest.param("geometry = Disk(0.5, 0.5, 0.1)\nn = 64\neps = 0.0625\n",
+                     "disk radius 0.1 outside", id="disk-radius"),
+        pytest.param("geometry = TwoDisks\nd = 3\nn = 32\neps = 0.02\n",
+                     "grid's 3 axes", id="planar-disks-3d"),
+    ])
+    def test_simulate_geometry_error_exit_2(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_default_ball_in_3d(self, tmp_path):
+        cfg = write_config(tmp_path, "d = 3\nn = 64\neps = 0.0625\nt_end = 0\n")
+        assert parse_config(cfg).geometry == Disk(center=(0.5, 0.5, 0.5), radius=0.3)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_simulate_disk_without_centre_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "geometry = Disk(0.3)\nn = 32\n")
@@ -208,7 +226,8 @@ class TestSubcommands:
         assert "config error" in capsys.readouterr().err
 
     def test_study_h_axis(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "n = 32\neps = 0.125\nt_end = 0.0\n")
+        # The Laplacian residual reads only n; eps = 2h keeps the default disk valid.
+        cfg = write_config(tmp_path, "n = 32\neps = 0.0625\nt_end = 0.0\n")
         assert main(["study", str(cfg), "--axis", "h", "--levels", "3"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out

@@ -153,7 +153,7 @@ class TestRunSimulation:
         ids=["reserved-name", "dphi-dt", "negative", "other-grid"],
     )
     def test_brakke_phis_contract(self, phis, error):
-        scn = disk_scenario(n=64)
+        scn = disk_scenario()
         with pytest.raises(error):
             run_simulation(scn, brakke_phis=phis(scn.grid))
 
@@ -242,7 +242,7 @@ class TestRunSimulation:
 
 class TestConvergenceStudy:
     def test_h_axis_laplacian_ratios(self):
-        base = disk_scenario(n=64, t_end=0.0)
+        base = self.small_disk()
         result = convergence_study(base, "h", 3, residual="laplacian")
         assert all(3.5 <= r <= 4.5 for r in result.ratios)
 
@@ -274,7 +274,7 @@ class TestConvergenceStudy:
         assert all(type(lv.residual) is float for lv in result.levels)
 
     def test_levels_validation(self):
-        base = disk_scenario(n=64, t_end=0.0)
+        base = self.small_disk()
         with pytest.raises(ConfigurationError):
             convergence_study(base, "dt", 2)
         with pytest.raises(ConfigurationError):

@@ -53,8 +53,8 @@ class TestGeometryValidation:
 
     def test_two_disks_centres_of_different_dimensions(self):
         geom = TwoDisks(centers=((0.3, 0.3), (0.7, 0.7, 0.5)))
-        with pytest.raises(ScenarioError, match="different dimensions"):
-            geom.validate(EPS)
+        with pytest.raises(ScenarioError, match="grid's 2 axes"):
+            geom.validate(EPS, 2)
 
     def test_strip_inside_unit_interval(self):
         with pytest.raises(ScenarioError):
@@ -62,14 +62,25 @@ class TestGeometryValidation:
 
     def test_wedge_angle_constraints(self):
         with pytest.raises(ScenarioError):
-            TripleJunction(angles=(0.0, 10.0, 200.0)).validate(EPS)
+            TripleJunction(angles=(0.0, 10.0, 200.0)).validate(EPS, 2)
         with pytest.raises(ScenarioError, match="3 ray angles"):
-            TripleJunction(angles=(0.0, 90.0, 180.0, 270.0)).validate(EPS)
+            TripleJunction(angles=(0.0, 90.0, 180.0, 270.0)).validate(EPS, 2)
 
     def test_phase_count_must_cover_regions(self):
-        scn = scenario_for(TripleJunction(), n_phases=2)
-        with pytest.raises(ScenarioError):
-            build_scenario(scn)
+        with pytest.raises(ScenarioError, match="needs 3 phases"):
+            scenario_for(TripleJunction(), n_phases=2)
+
+    def test_scenario_checks_the_geometry_against_the_grid(self):
+        # The Scenario rejects these before any data is built.
+        spec3 = GridSpec(3, 16)
+        with pytest.raises(ScenarioError, match="requires d = 2"):
+            scenario_for(TripleJunction(), n_phases=3, spec=spec3)
+        for geom in (Disk(), TwoDisks()):
+            with pytest.raises(ScenarioError, match="grid's 3 axes"):
+                scenario_for(geom, spec=spec3)
+        with pytest.raises(ScenarioError, match="disk radius"):
+            scenario_for(Disk(radius=0.05))
+        assert scenario_for(Disk(center=(0.5,) * 3), spec=spec3).grid == spec3
 
 
 class TestBuiltStates:
