@@ -190,6 +190,12 @@ def _multiplier_terms(state: PhaseField, fe: FlowEval, rho: ScalarField):
     return total, scale
 
 
+def _off_stride(dts: np.ndarray) -> np.ndarray:
+    """Per snapshot interval, whether it differs from the first by more than
+    1e-9 of it: the spacings ``monotonicity_check`` refuses."""
+    return np.abs(dts - dts[0]) > 1e-9 * dts[0]
+
+
 def monotonicity_check(
     run: list[PhaseField],
     eps: float,
@@ -213,7 +219,7 @@ def monotonicity_check(
     dts = np.diff(times)
     if not np.all(dts > 0):
         raise InputError("snapshot times must be strictly increasing")
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
+    if _off_stride(dts).any():
         raise InputError("monotonicity_check needs uniformly spaced snapshots")
     if times[-1] >= spec.terminal_s:
         raise InputError("all snapshot times must precede the kernel terminal time")
@@ -279,8 +285,9 @@ def brakke_rhs_integrand(
 ) -> float:
     """The instantaneous right-hand side of the phi-weighted energy balance.
 
-    ``fe`` is ``dynamics.flow(state, model)``; its du/dt enters both the
-    dissipation and the cross term.  The cross term pairs du_i/dt with
+    ``fe`` is ``dynamics.flow(state, model)``.  The dissipation term is phi
+    times its ``rate_density``, sum_i (du_i/dt)^2, the plane the flow's rate
+    integrates.  The cross term pairs du_i/dt with
     X_i = ``grid.grad_dot_raw(phi, u_i)``, which makes this the exact time
     derivative of ``mu_of_phi`` along the semi-discrete flow; phi's
     differences are its cached ``forward_differences``.  ``dphi_dt``, if
@@ -292,18 +299,15 @@ def brakke_rhs_integrand(
     value = 0.0
     if dphi_dt is not None:
         value += mu_of_phi(state, eps, dphi_dt.values)
-    # Per-phase terms accumulate from zero in phase order, which is how
-    # np.sum(., axis=0) adds a stack, so both sums are bitwise those.
     total = g._scratch(state.spec.shape, "plane_a")
     term = g._scratch(state.spec.shape, "plane_b")
-    total.fill(0.0)
-    for i in range(state.n_phases):
-        total += np.multiply(du[i], du[i], out=term)
-    total *= phi.values
+    np.multiply(fe.rate_density, phi.values, out=total)
     value -= SIGMA_INV * eps * g.integrate_raw(total, h, d)
+    # The cross terms accumulate from zero in phase order, which is how
+    # np.sum(., axis=0) adds a stack, so the sum is bitwise that.
     total.fill(0.0)
     for i in range(state.n_phases):
-        if state.absent[i]:  # X_i = +0; where du_i is nan, the first sum already is
+        if state.absent[i]:  # X_i = +0; where du_i is nan, the dissipation term already is
             continue
         g.grad_dot_raw(phi.values, state.values[i], h, out=term, a_diffs=phi.forward_differences)
         total += np.multiply(term, du[i], out=term)

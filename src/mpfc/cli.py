@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import KernelSpec, brakke_residual, monotonicity_check
+from .analysis import KernelSpec, brakke_residual, monotonicity_check, _off_stride
 from .diagnostics import energy_bv_gap, energy_measure, first_variation, measure_sample
 from .dynamics import ModelKind, ModelSpec, dissipation_rate, flow
 from .errors import BlowUpError, ConfigurationError, InputError, MpfcError
@@ -235,6 +235,14 @@ def _cmd_check_monotonicity(args) -> int:
     usable = [st for st in states if st.time < args.terminal]
     if len(usable) < len(states):
         print(f"note: discarding {len(states) - len(usable)} snapshots at t >= terminal")
+    # A run always samples its last step, which may fall off the stride.
+    times = [st.time for st in usable]
+    kept = len(usable)
+    while kept > 2 and times[1] > times[0] and _off_stride(np.diff(times[:kept]))[-1]:
+        kept -= 1
+    if kept < len(usable):
+        print(f"note: discarding {len(usable) - kept} trailing snapshots off the uniform spacing")
+        usable = usable[:kept]
     trace, verdict = monotonicity_check(usable, model.eps, kernel, model=model)
     print("   t         density      d/dt        bound       tol")
     for j, k in enumerate(trace.interior_index):

@@ -32,6 +32,11 @@ in ``FlowEval.floored_fraction``; no run records it yet.
 MeanShift's IMEX step solves N - 1 phases: its multiplier keeps sum_j u_j
 fixed pointwise, on or off the manifold, so the last phase is the old sum
 minus the others.  WeightedSum floors its multiplier, so it solves them all.
+At N = 2 on the manifold the old sum S is exactly 1 and the last phase is
+fl(1 - u_0), and u_0 + fl(1 - u_0) rounds back to 1 (exactly for u_0 in
+[1/2, 2] by Sterbenz, within half an ulp elsewhere), so the step's defect
+is +0 in every cell and ``project_constraint`` returns its input.  Any other
+sum-model state takes the shift whenever a cell's defect is not +0.
 
 A phase is absent when every entry is +0.0 (``PhaseField.absent``; -0.0 is
 present).  The SphereLL, WeightedSum and WeightedSquare couplings, lam u_i
@@ -113,8 +118,8 @@ _DENOM_FLOOR = 1e-10
 # returns, holding none across a call that uses them.  Other slots ("flow_*",
 # "project_*": the projection's Newton state) are grid shaped and belong to
 # one function.  Arrays a caller receives are fresh allocations.  Sums over
-# phases run plane by plane from zero in phase order, which is how
-# np.sum(., axis=0) adds a stack, so they are bitwise that sum.
+# phases run plane by plane in phase order, which is how np.sum(., axis=0)
+# adds a stack, so they are bitwise that sum.
 
 
 class ModelKind(str, enum.Enum):
@@ -189,6 +194,7 @@ class FlowEval(NamedTuple):
     multiplier: np.ndarray  # Lagrange multiplier, grid shaped
     floored_fraction: float
     rate: float             # SIGMA^{-1} int eps |du/dt|^2 dx, the dissipation rate
+    rate_density: np.ndarray  # sum_i (du_i/dt)^2, grid shaped; rate = SIGMA^{-1} eps int of it
 
 
 def _check_state(state: PhaseField, model: ModelSpec) -> None:
@@ -208,9 +214,17 @@ def _primitive_defect(s: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _phase_sum(u: np.ndarray, out: np.ndarray, square: bool = False) -> np.ndarray:
-    """sum_i u_i, or sum_i u_i^2 with ``square``, written to ``out`` plane by plane."""
-    out.fill(0.0)
-    for phase in u:
+    """sum_i u_i, or sum_i u_i^2 with ``square``, written to ``out`` plane by plane
+    from the first (zero with none).  That is the zero-filled sum bit for bit
+    for squares, which are +0 or more, and for a plain sum but for the sign of
+    a zero, which the ``- 1.0`` that always follows it drops."""
+    if not len(u):
+        out.fill(0.0)
+    elif square:
+        np.multiply(u[0], u[0], out=out)
+    else:
+        np.copyto(out, u[0])
+    for phase in u[1:]:
         out += np.multiply(phase, phase, out=g._scratch(out.shape, "plane_a")) if square else phase
     return out
 
@@ -248,7 +262,8 @@ def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
     du/dt = Lap u_i - W'(u_i)/eps^2 + coupling_i/eps; the eps-scaled form makes
     the sharp-interface motion law V = H hold in simulation time directly.
     One pass over the phases forms Lap u_i, mu_i = -eps Lap u_i + W'(u_i)/eps
-    and the multiplier's sums; a second forms du_i and sums du_i^2.
+    and the multiplier's sums; a second forms du_i and sums du_i^2 into
+    ``rate_density``, which the rate integrates and the Brakke integrand weights.
     """
     _check_state(state, model)
     u = state.values
@@ -295,18 +310,22 @@ def flow(state: PhaseField, model: ModelSpec) -> FlowEval:
             np.copyto(lam, 0.0, where=floored)
             floored_fraction = float(np.mean(floored))
 
-        # du_i = (coupling_i - mu_i) / eps, and |du|^2 summed over phases in b.
-        b.fill(0.0)
-        for phase, mu_i, du_i in zip(u, mu, du):
+        # du_i = (coupling_i - mu_i) / eps, and |du|^2 summed over phases from
+        # the first square, which is the zero-filled sum: squares are +0 or more.
+        density = np.empty(grid_shape)
+        for i, (phase, mu_i, du_i) in enumerate(zip(u, mu, du)):
             if kind == ModelKind.MEAN_SHIFT:
                 np.subtract(lam, mu_i, out=du_i)
             else:
                 np.multiply(lam, phase if kind == ModelKind.SPHERE_LL else du_i, out=du_i)
                 du_i -= mu_i
             du_i /= eps
-            b += np.multiply(du_i, du_i, out=a)
-        rate = SIGMA_INV * eps * g.integrate_raw(b, state.spec.h, state.spec.d)
-    return FlowEval(du, lap, mu, lam, floored_fraction, rate)
+            if i:
+                density += np.multiply(du_i, du_i, out=a)
+            else:
+                np.multiply(du_i, du_i, out=density)
+        rate = SIGMA_INV * eps * g.integrate_raw(density, state.spec.h, state.spec.d)
+    return FlowEval(du, lap, mu, lam, floored_fraction, rate, density)
 
 
 def dissipation_rate(state: PhaseField, model: ModelSpec) -> float:
@@ -477,7 +496,8 @@ def project_constraint(
     """Return the state projected exactly onto the model's constraint manifold.
 
     SphereLL normalizes radially; the sum models shift all phases by the mean
-    defect; WeightedSquare solves the per-cell scalar shift by safeguarded
+    defect, and return ``state`` itself when every cell's defect is +0;
+    WeightedSquare solves the per-cell scalar shift by safeguarded
     Newton (see ``_project_weighted_square``), starting from the same defect
     that the violation check reads.  Raises ProjectionError when the
     state is further than ``max_violation`` from the manifold (pass
@@ -515,6 +535,8 @@ def project_constraint(
         if np.any(norm < 1e-150):
             raise ProjectionSingularError("zero phase vector: radial projection undefined")
         op, plane = np.divide, norm
+    elif not defect.view(np.int64).any():  # u - (+0) / N is u, bit for bit
+        return state
     else:
         defect /= model.n_phases
         op, plane = np.subtract, defect

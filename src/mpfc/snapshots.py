@@ -10,10 +10,10 @@ Snapshot format (self-describing, parseable from any language):
     row-major within a phase (last grid axis fastest)
 
 Floats in the header are printed with 17 significant digits, so write/read
-round-trips are exact.  Readers reject wrong magic, unknown or missing header
-keys, header values the grid, model or state would refuse, a time that is
-negative or not finite, non-finite payload values, payload size mismatches,
-and trailing bytes, and never return a partial state.
+round-trips are exact.  Readers reject wrong magic, unknown, missing or
+repeated header keys, header values the grid, model or state would refuse, a
+time that is negative or not finite, non-finite payload values, payload size
+mismatches, and trailing bytes, and never return a partial state.
 """
 
 from __future__ import annotations
@@ -70,8 +70,10 @@ def read_snapshot(path: str | os.PathLike) -> tuple[PhaseField, ModelSpec]:
         for line in header_text.splitlines():
             if "=" not in line:
                 raise SnapshotFormatError(f"{path}: malformed header line {line!r}")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in fields:
+                raise SnapshotFormatError(f"{path}: duplicate header key {key!r}")
+            fields[key] = value
         if set(fields) != set(_HEADER_KEYS):
             raise SnapshotFormatError(
                 f"{path}: header keys {sorted(fields)} != expected {sorted(_HEADER_KEYS)}"

@@ -15,6 +15,12 @@ Residuals: "dissipation" (energy balance defect over the run), "brakke"
 "volume_rate" (relative error of the phase-0 volume slope against the exact
 shrinking-circle rate -2 pi), and "laplacian" (operator error on a trig
 eigenfunction; needs no simulation).
+
+On the dt axis "volume_rate" carries a part that does not depend on dt: the
+diffuse slope differs from -2 pi by an amount set by eps and h, of either
+sign, which dt refinement leaves in place.  Its ratios there are therefore
+not a time-step order.  It measures what it was meant to on an eps ladder at
+a fixed end time, which this module does not build yet.
 """
 
 from __future__ import annotations

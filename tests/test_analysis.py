@@ -6,7 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import disk_state, random_smooth_state, strip_state, written_out_brakke_integrand
+from conftest import (
+    disk_state,
+    manifold_pair,
+    random_smooth_state,
+    same_bits,
+    strip_state,
+    written_out_brakke_integrand,
+)
 from mpfc.analysis import (
     KernelSpec,
     backward_heat_kernel,
@@ -280,6 +287,19 @@ class TestMonotonicityCheck:
         assert trace.multiplier_cancellation is not None
         scale = max(float(np.max(trace.multiplier_scale)), 1e-300)
         assert np.max(np.abs(trace.multiplier_cancellation)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n_phases", [2, 3])
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_brakke_integrand_matches_the_phase_sums(kind, n_phases):
+    # The dissipation term reads the flow's rate_density; the reference
+    # re-sums (du_i/dt)^2 over the phases itself.  Both must agree bit for bit.
+    model, on, off = manifold_pair(kind, n_phases, 64)
+    phi = bump_field(on.spec, center=(0.4, 0.5))
+    for state in (on, off):
+        fe = flow(state, model)
+        got = brakke_rhs_integrand(state, model, fe, phi)
+        assert same_bits(got, written_out_brakke_integrand(state, model, fe, phi.values))
 
 
 class TestBrakkeResidual:

@@ -208,6 +208,20 @@ class TestSubcommands:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_check_monotonicity_drops_an_off_stride_final_snapshot(self, tmp_path, capsys):
+        # 82 steps at the default stride of 16 sample steps 0, 16, ..., 80 and
+        # the final step 82; the check runs on the uniformly spaced ones.
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, "n = 64\neps = 0.0625\n")),
+                     "--out", str(out)]) == 0
+        assert len(list(out.glob("snap_*.mpfc"))) == 7
+        capsys.readouterr()
+        code = main(["check-monotonicity", str(out), "--center", "0.5,0.5", "--terminal", "0.05"])
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert "note: discarding 1 trailing snapshots off the uniform spacing" in printed
+        assert "PASS" in printed
+
     def test_check_monotonicity_bad_center_exit_2(self, run_dir):
         code = main([
             "check-monotonicity", str(run_dir), "--center", "0.5",

@@ -222,6 +222,8 @@ class TestStep:
         fe = flow(state, model)
         assert fe.rate > 0.0
         assert fe.rate == dissipation_rate(state, model)
+        # One plane of sum_i (du_i/dt)^2 serves the rate and the Brakke integrand.
+        assert fe.rate == dynamics.SIGMA_INV * model.eps * integrate_raw(fe.rate_density, state.spec.h, 2)
 
     def test_dissipation_rate_matches_standalone(self):
         # SIGMA^{-1} int eps |du/dt|^2 dx, written out from the flow's du/dt.
@@ -271,6 +273,26 @@ class TestProjection:
         assert np.max(np.abs(out.values[0] - 0.45)) <= 2e-16  # one ulp
         assert np.max(np.abs(out.values[1] - 0.55)) <= 2e-16
         assert constraint_violation(out, model) < 1e-15
+
+    def test_mean_shift_two_phase_step_returns_its_input(self):
+        # At N = 2 the step's last phase is fl(1 - u_0), and u_0 + fl(1 - u_0)
+        # rounds back to 1, so the defect is +0 everywhere and the projection
+        # returns the state it was given.
+        n = 64
+        model = ModelSpec(ModelKind.MEAN_SHIFT, 8.0 / n, 2)
+        state = project_constraint(disk_state(n, model.eps), model, max_violation=np.inf)
+        for _ in range(20):
+            stepped = advance(state, model, state.spec.h**2, "IMEX", flow(state, model))
+            state = project_constraint(stepped, model)
+            assert state is stepped
+
+    @pytest.mark.parametrize("kind", [ModelKind.MEAN_SHIFT, ModelKind.WEIGHTED_SUM])
+    def test_sum_projection_returns_a_state_with_zero_defect(self, kind, spec64):
+        # A state with any nonzero defect takes the shift; the stacked-form
+        # tests below pin those values.
+        model = ModelSpec(kind, 0.05, 3)
+        on = wells_state(spec64, (0.25, 0.5, 0.25))
+        assert project_constraint(on, model) is on
 
     def test_weighted_square_bisection_accuracy(self):
         spec = GridSpec(2, 32)
@@ -620,8 +642,9 @@ def stacked_flow(state, model):
         du = lam[None] * weight - mu
         floored_fraction = float(np.mean(floored))
     du /= eps
-    rate = dynamics.SIGMA_INV * eps * integrate_raw(np.sum(du * du, axis=0), h, state.spec.d)
-    return du, lap, mu, lam, floored_fraction, rate
+    density = np.sum(du * du, axis=0)
+    rate = dynamics.SIGMA_INV * eps * integrate_raw(density, h, state.spec.d)
+    return du, lap, mu, lam, floored_fraction, rate, density
 
 
 def stacked_projection(u, model):

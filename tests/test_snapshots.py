@@ -102,6 +102,21 @@ class TestSnapshotRoundTrip:
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [b"model=SphereLL\ntime=5.0", b"time=5.0", b"N=2"],
+        ids=["model-and-time", "time", "same-value"],
+    )
+    def test_repeated_header_key_rejected(self, tmp_path, extra):
+        # The last value must not win: a repeated key is a format error naming it.
+        path = tmp_path / "dup.mpfc"
+        write_raw_snapshot(path)
+        head, _, tail = path.read_bytes().partition(b"\n\n")
+        path.write_bytes(head + b"\n" + extra + b"\n\n" + tail)
+        key = extra.split(b"=", 1)[0].decode()
+        with pytest.raises(SnapshotFormatError, match=f"duplicate header key '{key}'"):
+            read_snapshot(path)
+
     def test_hand_written_snapshot_reads(self, tmp_path):
         path = tmp_path / "ok.mpfc"
         write_raw_snapshot(path)
