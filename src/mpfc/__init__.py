@@ -49,8 +49,6 @@ from .potential import (
     double_well,
     double_well_prime,
     optimal_profile,
-    profile_transform,
-    profile_transform_inverse,
     sqrt_double_well,
     well_primitive,
 )

@@ -212,6 +212,8 @@ def _cmd_diagnose(args) -> int:
         gfield = _build_test_field(args.test_field, state.spec)
         report = first_variation(state, model, fe, gfield)
         print(f"first variation  : {report.first_variation:.8g}")
+        print(f"stress form      : {report.stress_form:.8g}")
+        print(f"discrepancy term : {report.discrepancy_term:.8g}")
         print(f"chemical form    : {report.chemical_form:.8g}")
         print(f"kinetic form     : {report.kinetic_form:.8g}")
         for key, value in report.residuals.items():

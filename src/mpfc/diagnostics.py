@@ -15,17 +15,22 @@ measures how far a state is from being well prepared.  The BV proxy
 
     bv_i = SIGMA^{-1} int |grad u_i| sqrt(2 W(u_i)) dx
 
-with the same |grad u_i| is the total variation of the transformed field
-G(u_i) evaluated by chain rule; pointwise AM-GM gives bv_i <= energy_i, with
-equality exactly at equipartition, so ``energy_bv_gap`` = energy_total -
-sum_i bv_i is a nonnegative health metric for the energy-vs-total-variation
-matching that the sharp-interface theory needs.
+with the same |grad u_i| is, by chain rule, the total variation of
+k(u_i) / SIGMA with k = ``potential.well_primitive``.  Pointwise AM-GM gives
+bv_i <= energy_i, with equality exactly at equipartition, so
+``energy_bv_gap`` = energy_total - sum_i bv_i is the cell-by-cell AM-GM
+defect of equipartition.  It vanishes on any equipartitioned profile,
+whatever its multiplicity, so it cannot see a hidden boundary: it is not the
+matching of the energy with the total variation of the singular limit that
+the paper's convergence hypothesis assumes.
 
-``first_variation`` evaluates three independent discretizations of the first
-variation of the interface varifold against a test vector field g and reports
-their pairwise residuals; ``mean_curvature_proxy`` returns the kinetic vector
-density whose pairing with g reproduces the first variation, together with
-the kinetic upper bound for int |h|^2 dmu.
+``first_variation`` pairs a test vector field g with the first variation of
+the energy on the energy's own one-sided differences D+u and D-u (those
+``grid.grad_dot_raw`` pairs): the stress form, the discrepancy term, their
+sum the varifold form, and the chemical and kinetic forms, with their
+residuals (``VariationReport``).  ``mean_curvature_proxy`` returns the
+kinetic vector density whose pairing with g is the kinetic form, together
+with the kinetic upper bound for int |h|^2 dmu.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as g
-from .dynamics import FlowEval, ModelSpec, PhaseField, constraint_violation, flow
+from .dynamics import FlowEval, ModelSpec, PhaseField, constraint_violation
 from .errors import InputError
 from .grid import ScalarField, VectorField
 from .potential import SIGMA_INV, _double_well_into, _sqrt_double_well_into, double_well
@@ -169,66 +174,89 @@ def measure_sample(
 
 @dataclass(frozen=True)
 class VariationReport:
-    """Three discretizations of the first variation paired with one test field.
+    """The first variation of the energy paired with one test field g.
 
-    ``first_variation`` is the varifold pairing: over cells with a resolved
-    normal it integrates (I - n x n) : grad g against the energy measure, and
-    cells below the gradient floor contribute the isotropic well term
-    -SIGMA^{-1} (div g) W(u)/eps.  ``chemical_form`` pairs g . grad u with the
-    chemical potential; ``kinetic_form`` pairs it with the time derivative.
-    The kinetic and chemical forms agree up to the multiplier-orthogonality
-    residual, which vanishes identically on constraint-projected states.
+    Each form averages a forward (+) and a backward (-) side, read on the
+    differences D±u that ``grid.grad_dot_raw`` pairs, with n_± = D±u/|D±u|,
+    the energy half e_± = SIGMA^{-1} (eps |D±u|^2 / 2 + W(u)/eps) and the
+    discrepancy half xi_± = SIGMA^{-1} (eps |D±u|^2 / 2 - W(u)/eps).
+    ``stress_form`` integrates e_± div g - eps SIGMA^{-1} D±u . (grad g) D±u;
+    ``discrepancy_term`` integrates (n_± x n_± : grad g) xi_±, which the
+    Brakke limit needs to vanish as eps -> 0; ``first_variation``, the
+    varifold form, integrates
+    (I - n_± x n_±) : grad g e_±, their sum cell by cell.  Where |D±u| <=
+    ``GRADIENT_FLOOR`` n_± is undefined, and the varifold takes the stress
+    density and the discrepancy nothing.  ``chemical_form`` pairs
+    g . (D+u + D-u)/2 with the chemical potential, ``kinetic_form`` with
+    du/dt; they differ by the multiplier-orthogonality residual, 0 on
+    constraint-projected states.  ``stress_minus_chemical`` is grid error,
+    O(h^2); ``varifold_minus_chemical`` adds the discrepancy term.
     """
 
     first_variation: float
     chemical_form: float
     kinetic_form: float
+    stress_form: float
+    discrepancy_term: float
     residuals: dict = field(default_factory=dict)
+
+
+def _one_sided_differences(u: np.ndarray, h: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(D+u, D-u): per axis, (u[j+1] - u[j]) / h and (u[j] - u[j-1]) / h.
+
+    Their mean (D+u + D-u) / 2 is the central difference up to round-off.
+    """
+    return tuple(
+        [g._periodic_pair(np.subtract, u, shift, u, shift - 1, ax, np.empty(u.shape)) / h
+         for ax in range(u.ndim)]
+        for shift in (1, 0)
+    )
 
 
 def first_variation(
     state: PhaseField, model: ModelSpec, fe: FlowEval, test_field: VectorField
 ) -> VariationReport:
-    """Pair ``test_field`` with the three forms; ``fe`` is ``dynamics.flow(state, model)``."""
+    """Pair ``test_field`` with the forms of ``VariationReport``; ``fe`` is
+    ``dynamics.flow(state, model)``."""
     if test_field.spec != state.spec:
         raise ValueError("test field lives on a different grid")
     eps = model.eps
-    spec = state.spec
-    h, d = spec.h, spec.d
+    h, d = state.spec.h, state.spec.d
     gv = test_field.values
     grad_g = [g.gradient_raw(gv[a], h) for a in range(d)]  # grad_g[a][b] = d_b g_a
     div_g = sum(grad_g[a][a] for a in range(d))
 
-    varifold = 0.0
-    chemical = 0.0
-    kinetic = 0.0
-    for i in range(state.n_phases):
-        ui = state.values[i]
-        grads = g.gradient_raw(ui, h)
-        norm_sq = sum(c * c for c in grads)
-        norm = np.sqrt(norm_sq)
-        well = double_well(ui)
-
-        # (n x n) : grad g = sum_ab n_a n_b d_a g_b; guard the floored cells.
-        mask = norm > GRADIENT_FLOOR
-        safe = np.where(mask, norm_sq, 1.0)
-        nn_gg = sum(grads[a] * grads[b] * grad_g[b][a] for a in range(d) for b in range(d)) / safe
-        energy_dens = SIGMA_INV * (0.5 * eps * norm_sq + well / eps)
-        varifold += g.integrate_raw(
-            np.where(mask, (div_g - nn_gg) * energy_dens, -SIGMA_INV * div_g * well / eps),
-            h, d,
-        )
-
-        g_dot_grad = sum(gv[a] * grads[a] for a in range(d))
-        chemical += -SIGMA_INV * g.integrate_raw(g_dot_grad * fe.mu[i], h, d)
-        kinetic += SIGMA_INV * eps * g.integrate_raw(fe.rhs[i] * g_dot_grad, h, d)
+    stress = discrepancy = varifold = chemical = kinetic = 0.0
+    for ui, mu, rhs in zip(state.values, fe.mu, fe.rhs):
+        well = double_well(ui) / eps
+        sides = _one_sided_differences(ui, h)
+        for grads in sides:
+            norm_sq = sum(c * c for c in grads)
+            # D±u . (grad g) D±u
+            stretch = sum(grads[a] * grad_g[a][b] * grads[b] for a in range(d) for b in range(d))
+            energy = SIGMA_INV * (0.5 * eps * norm_sq + well)
+            stress_dens = energy * div_g - SIGMA_INV * eps * stretch
+            resolved = norm_sq > GRADIENT_FLOOR**2
+            nn_gg = stretch / np.where(resolved, norm_sq, 1.0)  # (n x n) : grad g
+            disc_dens = np.where(resolved, nn_gg * SIGMA_INV * (0.5 * eps * norm_sq - well), 0.0)
+            stress += 0.5 * g.integrate_raw(stress_dens, h, d)
+            discrepancy += 0.5 * g.integrate_raw(disc_dens, h, d)
+            varifold += 0.5 * g.integrate_raw(
+                np.where(resolved, energy * (div_g - nn_gg), stress_dens), h, d
+            )
+        g_dot_grad = sum(ga * (0.5 * (p + m)) for ga, p, m in zip(gv, *sides))
+        chemical += -SIGMA_INV * g.integrate_raw(g_dot_grad * mu, h, d)
+        kinetic += SIGMA_INV * eps * g.integrate_raw(rhs * g_dot_grad, h, d)
 
     return VariationReport(
         first_variation=varifold,
         chemical_form=chemical,
         kinetic_form=kinetic,
+        stress_form=stress,
+        discrepancy_term=discrepancy,
         residuals={
             "varifold_minus_chemical": varifold - chemical,
+            "stress_minus_chemical": stress - chemical,
             "kinetic_minus_chemical": kinetic - chemical,
             "varifold_minus_kinetic": varifold - kinetic,
         },
@@ -236,24 +264,20 @@ def first_variation(
 
 
 def mean_curvature_proxy(
-    state: PhaseField, model: ModelSpec
+    state: PhaseField, model: ModelSpec, fe: FlowEval
 ) -> tuple[VectorField, float]:
     """Kinetic mean-curvature density and the kinetic bound for int |h|^2 dmu.
 
-    Returns (v, bound) with v = SIGMA^{-1} sum_i eps (du_i/dt) grad u_i, whose
-    pairing integral with a test field g equals the first variation evaluated
-    through the kinetic form, and bound = SIGMA^{-1} int eps |du/dt|^2 dx.
+    Returns (v, bound) with v = SIGMA^{-1} sum_i eps (du_i/dt) (D+u_i + D-u_i)/2,
+    whose pairing integral with a test field g is ``first_variation``'s
+    kinetic form, and bound = SIGMA^{-1} int eps |du/dt|^2 dx, ``fe.rate``;
+    ``fe`` is ``dynamics.flow(state, model)``.
     """
-    spec = state.spec
-    h, d = spec.h, spec.d
-    eps = model.eps
-    fe = flow(state, model)
-    comps = [np.zeros(spec.shape) for _ in range(d)]
-    for i in range(state.n_phases):
-        grads = g.gradient_raw(state.values[i], h)
-        for a in range(d):
-            comps[a] += SIGMA_INV * eps * fe.rhs[i] * grads[a]
-    return VectorField(spec, np.stack(comps)), fe.rate
+    comps = np.zeros((state.spec.d,) + state.spec.shape)
+    for ui, rhs in zip(state.values, fe.rhs):
+        for comp, p, m in zip(comps, *_one_sided_differences(ui, state.spec.h)):
+            comp += SIGMA_INV * model.eps * rhs * (0.5 * (p + m))
+    return VectorField(state.spec, comps), fe.rate
 
 
 def _bilinear_periodic(values: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:

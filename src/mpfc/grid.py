@@ -6,7 +6,8 @@ periodically:
 
     laplacian_raw:  (2d+1)-point second-order stencil,
                     sum over axes of (f_{j+1} - 2 f_j + f_{j-1}) / h^2
-    gradient_raw:   central differences, (f_{j+1} - f_{j-1}) / (2h) per axis
+    gradient_raw:   central differences, (f_{j+1} - f_{j-1}) / (2h) per axis;
+                    only a test vector field's gradient reads them
     grad_dot_raw:   symmetric edge pairing of two grid functions,
                     sum over axes of (D+f D+g + D-f D-g) / 2 with
                     D+f = (f_{j+1} - f_j)/h and D-f = (f_j - f_{j-1})/h

@@ -8,21 +8,16 @@ SIGMA = integral_0^1 sqrt(2 W) = 1/6 is the surface-tension normalizer: the
 energy of a flat optimal transition layer equals SIGMA per unit interface
 area, so SIGMA^{-1}-weighted energies count interface area directly.
 
-The primitive k(s) = integral_0^s sqrt(2 W) and its normalization
-G = k / SIGMA map a phase field to its total-variation representative.  Both
-are extended outside [0, 1] with the primitive of |y(1-y)| so they stay
-monotone when a numerical solution overshoots the wells.
+The primitive k(s) = integral_0^s sqrt(2 W) is extended outside [0, 1] with
+the primitive of |y(1-y)|, so it stays monotone when a numerical solution
+overshoots the wells.
 
 All functions accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .errors import InputError
 
 __all__ = [
     "SIGMA",
@@ -31,8 +26,6 @@ __all__ = [
     "double_well_prime",
     "sqrt_double_well",
     "well_primitive",
-    "profile_transform",
-    "profile_transform_inverse",
     "optimal_profile",
 ]
 
@@ -123,28 +116,6 @@ def _well_primitive_into(
     np.negative(out, out=out, where=np.less(s, 0.0, out=mask))
     np.subtract(1.0 / 3.0, out, out=out, where=np.greater(s, 1.0, out=mask))
     return out
-
-
-def profile_transform(s):
-    """G(s) = k(s) / SIGMA, increasing with G(0) = 0 and G(1) = 1."""
-    return well_primitive(s) / SIGMA
-
-
-def profile_transform_inverse(y: float) -> float:
-    """Inverse of G restricted to [0, 1].
-
-    On [0, 1], G(s) = 3 s^2 - 2 s^3; its root in [0, 1] has the closed form
-    s = 1/2 - sin(asin(1 - 2y) / 3).  Raises InputError when y is outside
-    G([0, 1]) = [0, 1].
-    """
-    y = float(y)
-    if not 0.0 <= y <= 1.0:
-        raise InputError(f"profile_transform_inverse requires y in [0, 1], got {y}")
-    if y == 0.0:
-        return 0.0
-    if y == 1.0:
-        return 1.0
-    return 0.5 - math.sin(math.asin(1.0 - 2.0 * y) / 3.0)
 
 
 def optimal_profile(z, eps: float):

@@ -20,7 +20,7 @@ import pytest
 
 from mpfc.analysis import KernelSpec, monotonicity_check, mu_of_phi
 from mpfc.diagnostics import energy_measure, measure_junction_angles
-from mpfc.dynamics import ModelKind, ModelSpec
+from mpfc.dynamics import ModelKind, ModelSpec, flow
 from mpfc.grid import GridSpec, gradient_raw, integrate_raw
 from mpfc.potential import SIGMA
 from mpfc.run import run_simulation
@@ -286,7 +286,7 @@ class TestCriterion6MeanCurvature:
         model = rec.scenario.model
         from mpfc.diagnostics import mean_curvature_proxy
 
-        density, bound = mean_curvature_proxy(state, model)
+        density, bound = mean_curvature_proxy(state, model, flow(state, model))
         gfield = radial_vector_field(state.spec)
         pairing = integrate_raw(
             np.sum(density.values * gfield.values, axis=0), state.spec.h, 2
@@ -307,7 +307,7 @@ class TestCriterion6MeanCurvature:
         model = rec.scenario.model
         from mpfc.diagnostics import mean_curvature_proxy
 
-        density, bound = mean_curvature_proxy(state, model)
+        density, bound = mean_curvature_proxy(state, model, flow(state, model))
         h = state.spec.h
         worst = -np.inf
         for seed in range(5):

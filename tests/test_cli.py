@@ -179,6 +179,8 @@ class TestSubcommands:
         assert main(["diagnose", str(snap), "--test-field", "radial"]) == 0
         out = capsys.readouterr().out
         assert "kinetic form" in out
+        assert "stress form" in out and "discrepancy term" in out
+        assert "stress_minus_chemical" in out
         assert len(calls) == 1
 
     def test_diagnose_invalid_snapshot_exit_1(self, tmp_path, capsys):

@@ -14,7 +14,9 @@ from conftest import (
 )
 from mpfc.analysis import mu_of_phi
 from mpfc.diagnostics import (
+    GRADIENT_FLOOR,
     SIGMA_INV,
+    _one_sided_differences,
     energy_bv_gap,
     energy_densities,
     energy_measure,
@@ -25,9 +27,10 @@ from mpfc.diagnostics import (
 )
 from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, flow, project_constraint
 from mpfc.errors import InputError
-from mpfc.grid import GridSpec, ScalarField, grad_dot_raw, integrate_raw
+from mpfc.grid import GridSpec, ScalarField, grad_dot_raw, gradient_raw, integrate_raw
 from mpfc.potential import SIGMA, double_well, sqrt_double_well
-from mpfc.scenarios import TripleJunction
+from mpfc.run import run_simulation
+from mpfc.scenarios import Disk, Scenario, TripleJunction
 from mpfc.testfields import (
     bump_field,
     constant_vector_field,
@@ -210,8 +213,9 @@ class TestMeasureSample:
             raise AssertionError("measure_sample evaluated the flow")
 
         state = random_smooth_state(GridSpec(2, 32), 3, seed=2)
+        # diagnostics takes every flow evaluation as an argument (``fe``)
+        assert not hasattr(mpfc.diagnostics, "flow")
         monkeypatch.setattr(mpfc.dynamics, "flow", no_flow)
-        monkeypatch.setattr(mpfc.diagnostics, "flow", no_flow)
         sample = measure_sample(state, ModelSpec(kind, 0.125, 3))
         assert sample.energy_total > 0.0
 
@@ -294,6 +298,65 @@ class TestFirstVariation:
         assert report.first_variation == 0.0
         # translation invariance: the chemical form is pure discretization error
         assert abs(report.chemical_form) < 5e-3
+
+    def test_mean_one_sided_difference_is_the_central_difference(self):
+        # The chemical and kinetic forms pair g with (D+u + D-u)/2, which
+        # differs from the central difference by round-off alone.
+        state = random_smooth_state(GridSpec(2, 64), 3, seed=4)
+        h = state.spec.h
+        for ui in state.values:
+            bound = 4 * np.finfo(np.float64).eps * np.max(np.abs(ui)) / h
+            forward, backward = _one_sided_differences(ui, h)
+            for p, m, central in zip(forward, backward, gradient_raw(ui, h), strict=True):
+                assert np.max(np.abs(0.5 * (p + m) - central)) <= bound
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("n_phases", [2, 3])
+    def test_varifold_is_stress_plus_discrepancy(self, kind, n_phases):
+        # (I - n x n) : grad g e = e div g - eps D.(grad g) D + (n x n : grad g) xi
+        # per side and cell; floored cells give the varifold the stress density.
+        model, on, off = manifold_pair(kind, n_phases, 32)
+        plateau = off.values.copy()
+        plateau[:, :3, :3] = 0.5  # floored cells where W(u)/eps is not 0
+        spec = on.spec
+        fields = (
+            constant_vector_field(spec, (1.0, 0.0)),
+            radial_vector_field(spec),
+            random_smooth_vector_field(spec, seed=3),
+        )
+        for state in (on, off, PhaseField(spec, plateau)):
+            norm_sq = sum(c * c for c in _one_sided_differences(state.values[0], spec.h)[0])
+            assert np.any(norm_sq <= GRADIENT_FLOOR**2) == (state is not off)
+            fe = flow(state, model)
+            for gfield in fields:
+                report = first_variation(state, model, fe, gfield)
+                terms = report.stress_form + report.discrepancy_term
+                scale = 1.0 + abs(report.stress_form) + abs(report.discrepancy_term)
+                assert abs(report.first_variation - terms) <= 1e-12 * scale
+            e1 = first_variation(state, model, fe, fields[0])
+            assert e1.first_variation == e1.stress_form == e1.discrepancy_term == 0.0
+
+    def test_stress_minus_chemical_is_second_order_in_h(self):
+        # A MeanShift disk at a fixed eps under h refinement: the varifold
+        # residual keeps the discrepancy term, an eps effect, while the
+        # stress form's residual is grid error alone.
+        eps = 1.0 / 16.0
+        residuals = {"radial": [], "random": []}
+        for n in (64, 128, 256):
+            spec = GridSpec(2, n)
+            model = ModelSpec(ModelKind.MEAN_SHIFT, eps, 2)
+            scenario = Scenario(geometry=Disk(radius=0.3), model=model, grid=spec,
+                                dt=spec.h**2, t_end=0.01, snapshot_every=1 << 20)
+            state = run_simulation(scenario, keep_states=True).states[-1]
+            fe = flow(state, model)
+            fields = {"radial": radial_vector_field(spec),
+                      "random": random_smooth_vector_field(spec, seed=0)}
+            for name, gfield in fields.items():
+                report = first_variation(state, model, fe, gfield)
+                residuals[name].append(report.residuals["stress_minus_chemical"])
+        for vals in residuals.values():
+            for coarse, fine in zip(vals, vals[1:]):
+                assert 3.5 <= coarse / fine <= 4.5
 
     def test_chemical_form_constant_field_refines_second_order(self):
         eps = 1.0 / 16.0
@@ -394,7 +457,7 @@ class TestMeanCurvatureProxy:
     def test_equilibrium_gives_zero(self, spec64):
         model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
         state = pure_state(spec64, (1.0, 0.0))
-        density, bound = mean_curvature_proxy(state, model)
+        density, bound = mean_curvature_proxy(state, model, flow(state, model))
         assert np.all(density.values == 0.0)
         assert bound == 0.0
 
@@ -403,7 +466,7 @@ class TestMeanCurvatureProxy:
         eps = 8.0 / n
         model = ModelSpec(ModelKind.MEAN_SHIFT, eps, 2)
         state = project_constraint(disk_state(n, eps, 0.25), model, max_violation=np.inf)
-        density, bound = mean_curvature_proxy(state, model)
+        density, bound = mean_curvature_proxy(state, model, flow(state, model))
         gfield = radial_vector_field(state.spec)
         pairing = integrate_raw(
             np.sum(density.values * gfield.values, axis=0), state.spec.h, state.spec.d
@@ -417,7 +480,7 @@ class TestMeanCurvatureProxy:
         eps = 8.0 / n
         model = ModelSpec(ModelKind.MEAN_SHIFT, eps, 2)
         state = project_constraint(disk_state(n, eps), model, max_violation=np.inf)
-        density, bound = mean_curvature_proxy(state, model)
+        density, bound = mean_curvature_proxy(state, model, flow(state, model))
         h, d = state.spec.h, state.spec.d
         du = flow(state, model).rhs
         for seed in range(5):

@@ -1,18 +1,15 @@
-"""Double-well potential, profile transforms, and the optimal profile."""
+"""Double-well potential, its primitive, and the optimal profile."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
-from mpfc.errors import InputError
 from mpfc.potential import (
     SIGMA,
     double_well,
     double_well_prime,
     optimal_profile,
-    profile_transform,
-    profile_transform_inverse,
     sqrt_double_well,
     well_primitive,
 )
@@ -94,38 +91,6 @@ class TestSqrtDoubleWell:
         assert np.max(np.abs(lhs - rhs)) <= 1e-14 * (1.0 + np.max(np.abs(rhs)))
 
 
-class TestProfileTransform:
-    def test_anchors(self):
-        assert profile_transform(0.0) == 0.0
-        assert profile_transform(1.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_midpoint_against_quadrature(self):
-        oracle, _ = quad(lambda y: abs(y * (1 - y)) / SIGMA, 0.0, 0.5)
-        assert profile_transform(0.5) == pytest.approx(oracle, abs=1e-12)
-        assert profile_transform(0.5) == pytest.approx(0.5, rel=1e-14)
-
-    def test_inverse_roundtrip(self):
-        # The ends are where G is flat and the inverse loses digits.
-        for s in [*np.arange(0.1, 0.95, 0.1), 1e-4, 1e-3, 1 - 1e-3, 1 - 1e-4]:
-            y = float(profile_transform(s))
-            assert profile_transform_inverse(y) == pytest.approx(s, abs=1e-12)
-
-    def test_inverse_domain_error(self):
-        with pytest.raises(InputError):
-            profile_transform_inverse(-0.1)
-        with pytest.raises(InputError):
-            profile_transform_inverse(1.5)
-
-    def test_strictly_increasing(self):
-        s = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-        g = profile_transform(s)
-        assert np.all(np.diff(g) > 0)
-
-    def test_monotone_extension_outside(self):
-        s = np.linspace(-1.0, 2.0, 400)
-        assert np.all(np.diff(profile_transform(s)) >= 0)
-
-
 class TestWellPrimitive:
     def test_anchors(self):
         assert well_primitive(0.0) == 0.0
@@ -136,10 +101,13 @@ class TestWellPrimitive:
         assert well_primitive(0.5) == pytest.approx(oracle, abs=1e-13)
         assert well_primitive(0.5) == pytest.approx(1.0 / 12.0, rel=1e-14)
 
-    def test_scaled_transform_identity(self):
-        rng = np.random.default_rng(4)
-        s = rng.uniform(-1.0, 2.0, size=50)
-        assert np.max(np.abs(well_primitive(s) - SIGMA * profile_transform(s))) < 1e-14
+    def test_strictly_increasing(self):
+        s = np.arange(0.0, 1.0 + 1e-12, 1e-3)
+        assert np.all(np.diff(well_primitive(s)) > 0)
+
+    def test_monotone_extension_outside(self):
+        s = np.linspace(-1.0, 2.0, 400)
+        assert np.all(np.diff(well_primitive(s)) >= 0)
 
     def test_continuity_at_pieces(self):
         for s0 in (0.0, 1.0):
