@@ -18,7 +18,6 @@ from .diagnostics import (
     energy_bv_gap,
     energy_measure,
     first_variation,
-    mean_curvature_proxy,
     measure_junction_angles,
     measure_sample,
 )

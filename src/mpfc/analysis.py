@@ -69,7 +69,6 @@ __all__ = [
     "brakke_residual",
     "brakke_rhs_integrand",
     "check_test_function",
-    "mu_of_phi",
 ]
 
 
@@ -200,7 +199,7 @@ def monotonicity_check(
     run: list[PhaseField],
     eps: float,
     spec: KernelSpec,
-    model: ModelSpec | None = None,
+    model: ModelSpec,
 ) -> tuple[MonotonicityTrace, bool]:
     """Verify dG/dt <= rhs_bound + tolerance along uniformly spaced snapshots.
 
@@ -213,8 +212,7 @@ def monotonicity_check(
     """
     if len(run) < 3:
         raise InputError("monotonicity_check needs at least 3 snapshots")
-    if model is not None:
-        _check_eps(eps, model)
+    _check_eps(eps, model)
     times = np.array([st.time for st in run])
     dts = np.diff(times)
     if not np.all(dts > 0):
@@ -227,7 +225,7 @@ def monotonicity_check(
 
     G = np.empty(len(run))
     bound = np.empty(len(run))
-    sphere = model is not None and model.kind == ModelKind.SPHERE_LL
+    sphere = model.kind == ModelKind.SPHERE_LL
     cancel = np.empty(len(run)) if sphere else None
     scale = np.empty(len(run)) if sphere else None
     for k, st in enumerate(run):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import KernelSpec, brakke_residual, monotonicity_check, _off_stride
 from .diagnostics import energy_bv_gap, energy_measure, first_variation, measure_sample
-from .dynamics import ModelKind, ModelSpec, dissipation_rate, flow
+from .dynamics import ModelKind, ModelSpec, flow
 from .errors import BlowUpError, ConfigurationError, InputError, MpfcError
 from .grid import GridSpec, ScalarField
 from .run import load_run_states, run_simulation
@@ -131,15 +131,16 @@ def parse_config(path: str | Path) -> Scenario:
         eps = float(raw.get("eps", str(8.0 / n)))
         model = ModelSpec(kind, eps, n_phases)
         h2 = grid.h * grid.h
+        # Keys with a ``Scenario`` field default are passed only when set.
+        schedule = {key: cast(raw[key]) for key, cast in
+                    (("snapshot_every", int), ("projection", str), ("scheme", str)) if key in raw}
         scenario = Scenario(
             geometry=geometry,
             model=model,
             grid=grid,
             dt=float(raw.get("dt", repr(h2))),
             t_end=float(raw.get("t_end", "0.02")),
-            snapshot_every=int(raw.get("snapshot_every", "16")),
-            projection=raw.get("projection", "every_step"),
-            scheme=raw.get("scheme", "IMEX"),
+            **schedule,
         )
     except (ValueError, MpfcError) as exc:
         if isinstance(exc, ConfigurationError):
@@ -281,7 +282,7 @@ def _cmd_check_brakke(args) -> int:
     ok = bool(np.isfinite(residuals).all())
     if args.phi == "one":
         # phi == 1 must reproduce the energy balance: same snapshots, same rule.
-        rates = np.array([dissipation_rate(st, model) for st in states])
+        rates = np.array([flow(st, model).rate for st in states])
         dts = np.diff(np.array(times))
         energies = np.array([float(np.sum(energy_measure(st, model.eps))) for st in states])
         expected = np.diff(energies) + 0.5 * dts * (rates[:-1] + rates[1:])

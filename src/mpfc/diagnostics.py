@@ -28,9 +28,9 @@ the paper's convergence hypothesis assumes.
 the energy on the energy's own one-sided differences D+u and D-u (those
 ``grid.grad_dot_raw`` pairs): the stress form, the discrepancy term, their
 sum the varifold form, and the chemical and kinetic forms, with their
-residuals (``VariationReport``).  ``mean_curvature_proxy`` returns the
-kinetic vector density whose pairing with g is the kinetic form, together
-with the kinetic upper bound for int |h|^2 dmu.
+residuals (``VariationReport``).  The kinetic form is the paper's mean
+curvature read through the first variation; its upper bound for
+int |h|^2 dmu is the flow's dissipation rate, ``FlowEval.rate``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "measure_sample",
     "mu_of_phi",
     "first_variation",
-    "mean_curvature_proxy",
     "measure_junction_angles",
 ]
 
@@ -217,9 +216,12 @@ def first_variation(
     state: PhaseField, model: ModelSpec, fe: FlowEval, test_field: VectorField
 ) -> VariationReport:
     """Pair ``test_field`` with the forms of ``VariationReport``; ``fe`` is
-    ``dynamics.flow(state, model)``."""
+    ``dynamics.flow(state, model)``.  A field on another grid or an ``fe`` of
+    another shape raises ``InputError``."""
     if test_field.spec != state.spec:
-        raise ValueError("test field lives on a different grid")
+        raise InputError(f"test field lives on {test_field.spec}, the state on {state.spec}")
+    if fe.rhs.shape != state.values.shape or fe.mu.shape != state.values.shape:
+        raise InputError("the flow evaluation does not have the state's shape")
     eps = model.eps
     h, d = state.spec.h, state.spec.d
     gv = test_field.values
@@ -261,23 +263,6 @@ def first_variation(
             "varifold_minus_kinetic": varifold - kinetic,
         },
     )
-
-
-def mean_curvature_proxy(
-    state: PhaseField, model: ModelSpec, fe: FlowEval
-) -> tuple[VectorField, float]:
-    """Kinetic mean-curvature density and the kinetic bound for int |h|^2 dmu.
-
-    Returns (v, bound) with v = SIGMA^{-1} sum_i eps (du_i/dt) (D+u_i + D-u_i)/2,
-    whose pairing integral with a test field g is ``first_variation``'s
-    kinetic form, and bound = SIGMA^{-1} int eps |du/dt|^2 dx, ``fe.rate``;
-    ``fe`` is ``dynamics.flow(state, model)``.
-    """
-    comps = np.zeros((state.spec.d,) + state.spec.shape)
-    for ui, rhs in zip(state.values, fe.rhs):
-        for comp, p, m in zip(comps, *_one_sided_differences(ui, state.spec.h)):
-            comp += SIGMA_INV * model.eps * rhs * (0.5 * (p + m))
-    return VectorField(state.spec, comps), fe.rate
 
 
 def _bilinear_periodic(values: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:

@@ -354,9 +354,9 @@ def advance(
 ) -> PhaseField:
     """Advance one IMEX time step, given ``fe = flow(state, model)``.
 
-    The Laplacian is treated implicitly through the Helmholtz solve (a=1,
-    b=dt) and the potential/multiplier terms explicitly; ``scheme`` must name
-    it, and ``dt`` must be positive.  With ``project=True`` the model's
+    The Laplacian is treated implicitly, solving (I - dt Lap_h) x = rhs, and
+    the potential/multiplier terms explicitly; ``scheme`` must name it, and
+    ``dt`` must be positive.  With ``project=True`` the model's
     constraint projection is applied to the result.  The step's result is
     scanned once for non-finite values, which raise BlowUpError; the
     projection maps that finite state to a finite one (see
@@ -389,7 +389,7 @@ def advance(
         out += u[i]
     new = np.empty(u.shape)
     if k:
-        g.helmholtz_solve_raw(imex_rhs, 1.0, dt, state.spec, out=new[:k])
+        g.helmholtz_solve_raw(imex_rhs, dt, state.spec, out=new[:k])
     for j in reversed(range(k)):  # the solved planes move up to their phases
         if solved[j] != j:
             new[solved[j]] = new[j]

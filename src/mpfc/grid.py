@@ -28,7 +28,7 @@ planes (one fits in L2 at n = 256, a stack does not), in slots that belong to
 one function or in the grid-shaped "plane_a" and "plane_b" that the per-phase
 loops of those modules share.
 
-``helmholtz_solve_raw`` inverts (a*I - b*Lap_h) by diagonalizing the exact
+``helmholtz_solve_raw`` inverts (I - b*Lap_h) by diagonalizing the exact
 stencil symbol with the FFT, so its Laplacian matches ``laplacian_raw`` to
 round-off.
 
@@ -300,28 +300,26 @@ def stencil_symbol(spec: GridSpec) -> np.ndarray:
     return sym
 
 
-def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec,
+def helmholtz_solve_raw(rhs: np.ndarray, b: float, spec: GridSpec,
                         out: np.ndarray | None = None) -> np.ndarray:
-    """Solve (a*I - b*Lap_h) x = rhs on the torus; axes before the last ``spec.d`` stack fields.
+    """Solve (I - b*Lap_h) x = rhs on the torus; axes before the last ``spec.d`` stack fields.
 
     The solve diagonalizes the exact stencil symbol by FFT, so the operator
     being inverted is identical to ``laplacian_raw``.  For a finite ``rhs``
-    every call checks ``max|a x - b Lap x - rhs| <= 1e-10 max|rhs|`` and
+    every call checks ``max|x - b Lap x - rhs| <= 1e-10 max|rhs|`` and
     raises ``SolverFailureError`` where it fails.  A NaN or inf in ``rhs``
     gives a non-finite x and a NaN residual, which fails no comparison: x is
     returned, and ``dynamics.advance`` reports it as ``BlowUpError``.
     ``out``, if given, is a caller-owned C-contiguous float64 array of
     ``rhs``'s shape that receives x; it is not scratch, and x is ``out``.
     """
-    if not a > 0:
-        raise ValueError(f"helmholtz_solve_raw requires a > 0, got a={a}")
     if b < 0:
         raise ValueError(f"helmholtz_solve_raw requires b >= 0, got b={b}")
     axis_offset = rhs.ndim - spec.d
     axes = tuple(range(axis_offset, rhs.ndim))
     symbol = stencil_symbol(spec)
     denom = np.multiply(b, symbol, out=_scratch(symbol.shape, "helmholtz_denom"))
-    np.subtract(a, denom, out=denom)
+    np.subtract(1.0, denom, out=denom)
     spectrum = _scratch(rhs.shape[:axis_offset] + symbol.shape, "helmholtz_spectrum",
                         np.complex128)
     np.fft.rfftn(rhs, axes=axes, out=spectrum)
@@ -331,17 +329,16 @@ def helmholtz_solve_raw(rhs: np.ndarray, a: float, b: float, spec: GridSpec,
     for ax in axes[:-1]:
         np.fft.ifft(spectrum, axis=ax, out=spectrum)
     x = np.fft.irfft(spectrum, n=spec.n, axis=axes[-1], out=out)
-    # Plane by plane, residual = a x - b Lap x - rhs in that order: b Lap x in
-    # the residual slot, a x in the Laplacian's neighbour-sum slot, free once
-    # it returns.  Each plane keeps its max |residual|, max rhs and -min rhs.
+    # Plane by plane, residual = x - b Lap x - rhs in that order, with b Lap x
+    # in the residual slot.  Each plane keeps its max |residual|, max rhs and
+    # -min rhs.
     residual = _scratch(spec.shape, "residual")
-    a_x = _scratch(spec.shape, "laplacian")
     planes = zip(x.reshape((-1,) + spec.shape), rhs.reshape((-1,) + spec.shape))
     stats = np.empty((3, math.prod(rhs.shape[:axis_offset])))
     for k, (x_k, rhs_k) in enumerate(planes):
         laplacian_raw(x_k, spec.h, out=residual)
         residual *= b
-        np.subtract(np.multiply(x_k, a, out=a_x), residual, out=residual)
+        np.subtract(x_k, residual, out=residual)
         residual -= rhs_k
         stats[:, k] = np.max(np.abs(residual, out=residual)), np.max(rhs_k), -np.min(rhs_k)
     worst, high, low = (float(v) for v in np.max(stats, axis=1))

@@ -52,7 +52,6 @@ class BrakkeSeries:
     time-step error.
     """
 
-    name: str
     mu_phi: np.ndarray
     rhs_cumulative: np.ndarray
 
@@ -202,7 +201,7 @@ def _simulate(scenario: Scenario, keep_states: bool, out_dir, brakke_phis) -> Ru
         sample_steps=np.asarray(sorted(sample_set)),
         dissipated=-rhs_cum[:, 0],
         dissipation_rates=np.asarray(rates),
-        brakke={name: BrakkeSeries(name, mu_phi[:, k], rhs_cum[:, k])
+        brakke={name: BrakkeSeries(mu_phi[:, k], rhs_cum[:, k])
                 for k, name in enumerate(["one", *phis])},
         states=states,
         snapshot_paths=snapshot_paths,

@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpfc.analysis import KernelSpec, monotonicity_check, mu_of_phi
-from mpfc.diagnostics import energy_measure, measure_junction_angles
+from mpfc.analysis import KernelSpec, monotonicity_check
+from mpfc.diagnostics import first_variation, measure_junction_angles, mu_of_phi
 from mpfc.dynamics import ModelKind, ModelSpec, flow
-from mpfc.grid import GridSpec, gradient_raw, integrate_raw
+from mpfc.grid import GridSpec, VectorField, gradient_raw, integrate_raw
 from mpfc.potential import SIGMA
 from mpfc.run import run_simulation
 from mpfc.scenarios import Disk, Scenario, TripleJunction
@@ -284,13 +284,8 @@ class TestCriterion6MeanCurvature:
         rec = baseline_runs["MeanShift"]
         state = self.state_near_radius(rec)
         model = rec.scenario.model
-        from mpfc.diagnostics import mean_curvature_proxy
-
-        density, bound = mean_curvature_proxy(state, model, flow(state, model))
-        gfield = radial_vector_field(state.spec)
-        pairing = integrate_raw(
-            np.sum(density.values * gfield.values, axis=0), state.spec.h, 2
-        )
+        fe = flow(state, model)
+        pairing = first_variation(state, model, fe, radial_vector_field(state.spec)).kinetic_form
         # both phases carry the interface: the geometric circumference x
         # curvature count is the per-phase pairing, -pairing/2
         value = -pairing / 2.0
@@ -305,16 +300,14 @@ class TestCriterion6MeanCurvature:
         rec = baseline_runs["MeanShift"]
         state = self.state_near_radius(rec)
         model = rec.scenario.model
-        from mpfc.diagnostics import mean_curvature_proxy
-
-        density, bound = mean_curvature_proxy(state, model, flow(state, model))
+        fe = flow(state, model)
         h = state.spec.h
         worst = -np.inf
         for seed in range(5):
             gfield = random_smooth_vector_field(state.spec, seed=seed)
             norm_mu = mu_of_phi(state, model.eps, np.sum(gfield.values**2, axis=0))
             gv = gfield.values / np.sqrt(norm_mu)
-            pairing = integrate_raw(np.sum(density.values * gv, axis=0), h, 2)
+            pairing = first_variation(state, model, fe, VectorField(state.spec, gv)).kinetic_form
             e_g = 0.0
             for i in range(state.n_phases):
                 grads = gradient_raw(state.values[i], h)
@@ -322,7 +315,7 @@ class TestCriterion6MeanCurvature:
                     np.sum(gv * gv, axis=0) * sum(c * c for c in grads), h, 2
                 )
             e_g *= model.eps / SIGMA
-            margin = pairing**2 - bound * e_g * (1 + 1e-12)
+            margin = pairing**2 - fe.rate * e_g * (1 + 1e-12)
             worst = max(worst, margin)
         ok = worst <= 0.0
         report(

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, subcommands, exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import mpfc.cli
 from conftest import write_raw_snapshot
 from mpfc.cli import main, parse_config
 from mpfc.errors import ConfigurationError
-from mpfc.scenarios import Disk, TripleJunction
+from mpfc.scenarios import Disk, Scenario, TripleJunction
 
 
 BASE_CONFIG = """
@@ -39,6 +41,22 @@ class TestConfigParsing:
         assert isinstance(scn.geometry, Disk)
         assert scn.dt == pytest.approx((1 / 64) ** 2)
         assert scn.projection == "every_step"
+
+    def test_unset_schedule_keys_take_the_scenario_defaults(self, tmp_path, monkeypatch):
+        # The schedule's defaults live in Scenario alone: a config that does
+        # not set a key does not pass it.
+        passed = []
+
+        def recording(**kwargs):
+            passed.append(kwargs)
+            return Scenario(**kwargs)
+
+        monkeypatch.setattr(mpfc.cli, "Scenario", recording)
+        scn = parse_config(write_config(tmp_path, "n = 64\neps = 0.0625\n"))
+        defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+        for key in ("snapshot_every", "projection", "scheme"):
+            assert key not in passed[0]
+            assert getattr(scn, key) == defaults[key]
 
     def test_triple_junction_defaults_three_phases(self, tmp_path):
         path = write_config(tmp_path, "geometry = TripleJunction\nn = 64\neps = 0.03125\n")

@@ -1,4 +1,4 @@
-"""Surface measures, discrepancy, BV proxy, first variation, curvature proxy."""
+"""Surface measures, discrepancy, BV proxy, first variation, kinetic mean curvature."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from conftest import (
     stacked_defect,
     strip_state,
 )
-from mpfc.analysis import mu_of_phi
 from mpfc.diagnostics import (
     GRADIENT_FLOOR,
     SIGMA_INV,
@@ -21,9 +20,9 @@ from mpfc.diagnostics import (
     energy_densities,
     energy_measure,
     first_variation,
-    mean_curvature_proxy,
     measure_junction_angles,
     measure_sample,
+    mu_of_phi,
 )
 from mpfc.dynamics import ModelKind, ModelSpec, PhaseField, flow, project_constraint
 from mpfc.errors import InputError
@@ -291,6 +290,21 @@ class TestFirstVariation:
         q = optimal_profile(radius - np.sqrt(dx * dx + dy * dy), eps)
         return PhaseField(spec, np.stack([q, 1.0 - q]))
 
+    def test_rejects_a_flow_of_another_shape(self):
+        # A 2-phase flow beside a 3-phase state would pair two of its phases.
+        model, state, _ = manifold_pair(ModelKind.WEIGHTED_SUM, 3, 64)
+        model2, state2, _ = manifold_pair(ModelKind.WEIGHTED_SUM, 2, 64)
+        fe, fe2 = flow(state, model), flow(state2, model2)
+        gfield = radial_vector_field(state.spec)
+        for other in (fe2, fe._replace(rhs=fe2.rhs), fe._replace(mu=fe2.mu)):
+            with pytest.raises(InputError, match="flow evaluation"):
+                first_variation(state, model, other, gfield)
+
+    def test_rejects_a_test_field_on_another_grid(self):
+        state, model = self.setup_disk(n=64)
+        with pytest.raises(InputError, match="test field"):
+            first_variation(state, model, flow(state, model), radial_vector_field(GridSpec(2, 32)))
+
     def test_constant_field_gives_zero_varifold_form(self):
         state, model = self.setup_disk()
         gfield = constant_vector_field(state.spec, (1.0, 0.0))
@@ -454,40 +468,38 @@ class TestFirstVariation:
 
 
 class TestMeanCurvatureProxy:
+    """The kinetic form is the mean-curvature pairing; ``fe.rate`` bounds int |h|^2 dmu."""
+
     def test_equilibrium_gives_zero(self, spec64):
         model = ModelSpec(ModelKind.MEAN_SHIFT, 0.05, 2)
         state = pure_state(spec64, (1.0, 0.0))
-        density, bound = mean_curvature_proxy(state, model, flow(state, model))
-        assert np.all(density.values == 0.0)
-        assert bound == 0.0
+        fe = flow(state, model)
+        assert first_variation(state, model, fe, radial_vector_field(spec64)).kinetic_form == 0.0
+        assert fe.rate == 0.0
 
     def test_disk_pairing_reproduces_curvature_times_length(self):
         n = 256
         eps = 8.0 / n
         model = ModelSpec(ModelKind.MEAN_SHIFT, eps, 2)
         state = project_constraint(disk_state(n, eps, 0.25), model, max_violation=np.inf)
-        density, bound = mean_curvature_proxy(state, model, flow(state, model))
-        gfield = radial_vector_field(state.spec)
-        pairing = integrate_raw(
-            np.sum(density.values * gfield.values, axis=0), state.spec.h, state.spec.d
-        )
+        fe = flow(state, model)
+        pairing = first_variation(state, model, fe, radial_vector_field(state.spec)).kinetic_form
         # two phases each contribute circumference x curvature = 2 pi
         assert -pairing / 2.0 == pytest.approx(2.0 * np.pi, rel=0.10)
-        assert bound == pytest.approx(4.0 * np.pi / 0.25, rel=0.15)
+        assert fe.rate == pytest.approx(4.0 * np.pi / 0.25, rel=0.15)
 
     def test_cauchy_schwarz_bound_for_random_fields(self):
         n = 128
         eps = 8.0 / n
         model = ModelSpec(ModelKind.MEAN_SHIFT, eps, 2)
         state = project_constraint(disk_state(n, eps), model, max_violation=np.inf)
-        density, bound = mean_curvature_proxy(state, model, flow(state, model))
+        fe = flow(state, model)
         h, d = state.spec.h, state.spec.d
-        du = flow(state, model).rhs
         for seed in range(5):
             gfield = random_smooth_vector_field(state.spec, seed=seed)
             gv = gfield.values
-            pairing = integrate_raw(np.sum(density.values * gv, axis=0), h, d)
-            # |pairing|^2 <= bound * (SIGMA^{-1} int |g|^2 eps |grad u|^2)
+            pairing = first_variation(state, model, fe, gfield).kinetic_form
+            # |pairing|^2 <= rate * (SIGMA^{-1} int |g|^2 eps |grad u|^2)
             from mpfc.grid import gradient_raw
 
             e_g = 0.0
@@ -497,7 +509,7 @@ class TestMeanCurvatureProxy:
                     np.sum(gv * gv, axis=0) * sum(c * c for c in grads), h, d
                 )
             e_g *= eps / SIGMA
-            assert pairing**2 <= bound * e_g * (1.0 + 1e-12)
+            assert pairing**2 <= fe.rate * e_g * (1.0 + 1e-12)
 
 
 class TestJunctionMetrology:

@@ -608,7 +608,7 @@ class TestMeanShiftDerivedPhase:
         new = advance(state, model, dt, "IMEX", fe).values
         # The full N-phase IMEX right-hand side, in advance's order of operations.
         rhs = (fe.rhs - fe.lap) * dt + state.values
-        full = helmholtz_solve_raw(rhs, 1.0, dt, spec)
+        full = helmholtz_solve_raw(rhs, dt, spec)
         assert np.all(new[:-1] == full[:-1])
         assert np.max(np.abs(new[-1] - full[-1])) <= 1e-13
         residual = new[-1] - dt * laplacian_raw(new[-1], spec.h) - rhs[-1]
@@ -679,7 +679,7 @@ class TestPlaneKernelsMatchStackedForms:
         dt = 0.7 * off.spec.h**2  # not a power of two, like eps
         fe = flow(off, model)
         m = n_phases - (kind == ModelKind.MEAN_SHIFT)
-        want = helmholtz_solve_raw(((fe.rhs - fe.lap) * dt + off.values)[:m], 1.0, dt, off.spec)
+        want = helmholtz_solve_raw(((fe.rhs - fe.lap) * dt + off.values)[:m], dt, off.spec)
         assert same_bits(advance(off, model, dt, "IMEX", fe).values[:m], want)
 
 

@@ -147,34 +147,32 @@ class TestIntegrate:
 
 class TestHelmholtz:
     def test_constant_solution(self, spec64):
-        a, b, c = 2.0, 0.7, 1.25
-        rhs = np.full(spec64.shape, a * c)
-        x = helmholtz_solve_raw(rhs, a, b, spec64)
+        b, c = 0.7, 1.25
+        rhs = np.full(spec64.shape, c)
+        x = helmholtz_solve_raw(rhs, b, spec64)
         assert np.max(np.abs(x - c)) < 1e-12
 
     def test_exact_stencil_symbol(self):
-        # rhs = (a + b*s_1) cos(2 pi x) with s_1 the discrete eigenvalue gives
+        # rhs = (1 + b*s_1) cos(2 pi x) with s_1 the discrete eigenvalue gives
         # back the cosine to round-off.
         spec = GridSpec(2, 32)
         x, _ = spec.meshgrid()
-        a, b = 1.5, 0.3
+        b = 0.3
         s1 = (4.0 / spec.h**2) * np.sin(np.pi / spec.n) ** 2
-        rhs = (a + b * s1) * np.cos(2 * np.pi * x)
-        sol = helmholtz_solve_raw(rhs, a, b, spec)
+        rhs = (1.0 + b * s1) * np.cos(2 * np.pi * x)
+        sol = helmholtz_solve_raw(rhs, b, spec)
         assert np.max(np.abs(sol - np.cos(2 * np.pi * x))) < 1e-12
 
     def test_identity_when_b_zero(self, spec64):
         rng = np.random.default_rng(3)
         rhs = rng.normal(size=spec64.shape)
-        x = helmholtz_solve_raw(rhs, 1.0, 0.0, spec64)
+        x = helmholtz_solve_raw(rhs, 0.0, spec64)
         assert np.max(np.abs(x - rhs)) < 1e-12
 
     def test_parameter_validation(self, spec64):
         rhs = np.ones(spec64.shape)
         with pytest.raises(ValueError):
-            helmholtz_solve_raw(rhs, 0.0, 1.0, spec64)
-        with pytest.raises(ValueError):
-            helmholtz_solve_raw(rhs, 1.0, -1.0, spec64)
+            helmholtz_solve_raw(rhs, -1.0, spec64)
 
     def test_symbol_matches_laplacian_on_modes(self):
         spec = GridSpec(2, 16)
@@ -303,11 +301,11 @@ class TestSliceKernelsMatchRoll:
         # The in-place inverse sequence against numpy's own irfftn.
         spec = GridSpec(d, n)
         rhs, _ = self.fields(d, n, lead=(2,))
-        a, b = 1.0, 0.37 * spec.h**2
+        b = 0.37 * spec.h**2
         axes = tuple(range(1, d + 1))
-        denom = a - b * stencil_symbol(spec)
+        denom = 1.0 - b * stencil_symbol(spec)
         want = np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) / denom, s=spec.shape, axes=axes)
-        assert np.array_equal(helmholtz_solve_raw(rhs, a, b, spec), want)
+        assert np.array_equal(helmholtz_solve_raw(rhs, b, spec), want)
 
     def test_max_neighbor_jump(self, d, n):
         stack, _ = self.fields(d, n, lead=(2,))
@@ -332,9 +330,9 @@ class TestScratchNeverEscapes:
         spec = GridSpec(2, 32)
         rng = np.random.default_rng(5)
         r1, r2 = rng.normal(size=(2, 3) + spec.shape)
-        x1 = helmholtz_solve_raw(r1, 1.0, 0.01, spec)
+        x1 = helmholtz_solve_raw(r1, 0.01, spec)
         kept = x1.copy()
-        x2 = helmholtz_solve_raw(r2, 1.0, 0.01, spec)
+        x2 = helmholtz_solve_raw(r2, 0.01, spec)
         assert not np.shares_memory(x1, x2)
         assert np.array_equal(x1, kept)
 
@@ -367,7 +365,7 @@ class TestScratchNeverEscapes:
         fe = flow(disk_state(n=64), model)
         kept = [np.copy(x) for x in fe]
         flow(strip_state(n=64), model)
-        helmholtz_solve_raw(np.ones((2, 64, 64)), 1.0, 0.01, GridSpec(2, 64))
+        helmholtz_solve_raw(np.ones((2, 64, 64)), 0.01, GridSpec(2, 64))
         for field, before in zip(fe, kept, strict=True):
             assert np.array_equal(field, before)
 
@@ -383,7 +381,7 @@ class TestScratchNeverEscapes:
         fe = flow(first, model)
         kept = [np.copy(x) for x in fe]
         later = flow(second, model)
-        helmholtz_solve_raw(np.ones((n_phases, 64, 64)), 1.0, 0.01, GridSpec(2, 64))
+        helmholtz_solve_raw(np.ones((n_phases, 64, 64)), 0.01, GridSpec(2, 64))
         advance(second, model, 0.01 * second.spec.h, "IMEX", later, project=True)
         energy_densities(second, model.eps)
         for field, before in zip(fe, kept, strict=True):
@@ -418,7 +416,7 @@ def test_helmholtz_residual_contract_fires(monkeypatch):
     x, y = spec.meshgrid()
     rhs = np.cos(2 * np.pi * x) + 0.5 * np.sin(2 * np.pi * 3 * y)
     with pytest.raises(SolverFailureError, match=r"helmholtz residual .* exceeds 1e-10 \* max\|rhs\|"):
-        helmholtz_solve_raw(rhs, 1.0, 1e-3, spec)
+        helmholtz_solve_raw(rhs, 1e-3, spec)
 
 
 def test_helmholtz_residual_checked_on_every_plane(monkeypatch):
@@ -430,9 +428,9 @@ def test_helmholtz_residual_checked_on_every_plane(monkeypatch):
     monkeypatch.setattr(mpfc.grid, "stencil_symbol", lambda s: 1.001 * true_symbol)
     x, y = spec.meshgrid()
     rhs = np.stack([np.full(spec.shape, 2.0), np.cos(2 * np.pi * x) + np.sin(2 * np.pi * 3 * y)])
-    assert np.array_equal(helmholtz_solve_raw(rhs[:1], 1.0, 1e-3, spec), np.full((1, 32, 32), 2.0))
+    assert np.array_equal(helmholtz_solve_raw(rhs[:1], 1e-3, spec), np.full((1, 32, 32), 2.0))
     with pytest.raises(SolverFailureError, match="helmholtz residual"):
-        helmholtz_solve_raw(rhs, 1.0, 1e-3, spec)
+        helmholtz_solve_raw(rhs, 1e-3, spec)
 
 
 def test_helmholtz_non_finite_rhs_is_reported_by_advance():
@@ -445,7 +443,7 @@ def test_helmholtz_non_finite_rhs_is_reported_by_advance():
         rhs = np.zeros((2,) + spec.shape)
         rhs[1, 3, 4] = bad
         with np.errstate(invalid="ignore"):
-            x = helmholtz_solve_raw(rhs, 1.0, 0.01, spec)
+            x = helmholtz_solve_raw(rhs, 0.01, spec)
         assert np.array_equal(x[0], np.zeros(spec.shape))
         assert not np.isfinite(x[1]).any()
     model = ModelSpec(ModelKind.WEIGHTED_SUM, 0.05, 2)
